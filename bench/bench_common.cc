@@ -110,8 +110,9 @@ void PrintHeader(const std::string& title) {
   std::printf("%s\n", title.c_str());
   std::printf(
       "datasets: deterministic scaled analogues of the paper's KONECT "
-      "graphs (see DESIGN.md section 2);\nabsolute numbers differ by design "
-      "— compare shapes/ratios against the paper columns.\n");
+      "graphs (see README.md, \"Dataset analogues\");\nabsolute numbers "
+      "differ by design — compare shapes/ratios against the paper "
+      "columns.\n");
   PrintRule('=');
 }
 

@@ -79,11 +79,11 @@ void DatasetScheduling(benchmark::State& state, const Target& target) {
     // Wall-clock FD with and without WaS.
     std::vector<Count> tips(g.num_u());
     PeelStats fd_stats_was;
-    options.workload_aware_scheduling = true;
+    options.fd_assignment = engine::PlacementAssign::kCostLpt;
     ReceiptFd(g, cd, options, tips, &fd_stats_was);
     row.fd_was = fd_stats_was.seconds_fd;
     PeelStats fd_stats_naive;
-    options.workload_aware_scheduling = false;
+    options.fd_assignment = engine::PlacementAssign::kRoundRobin;
     ReceiptFd(g, cd, options, tips, &fd_stats_naive);
     row.fd_naive = fd_stats_naive.seconds_fd;
     // Deterministic makespan model on the real subset workloads (immune to

@@ -1,7 +1,7 @@
 // Frontier-vs-scan micro-benchmark: runs the RECEIPT coarse+fine tip
 // decomposition and the RECEIPT-W wing decomposition with the engine's
 // active-set rebuilds forced to full scans (the pre-frontier behavior),
-// forced to frontier merges, and under the default hybrid threshold, on a
+// forced to frontier merges, and under the fixed-density hybrid rule, on a
 // skewed (Chung–Lu) and a uniform (Erdős–Rényi-style) generator graph.
 //
 // Reports per-configuration rounds, total active-set elements examined and
@@ -26,13 +26,15 @@ namespace {
 
 struct Direction {
   const char* name;
-  double threshold;
+  FrontierSwitch rule;
 };
 
+// Deterministic rules only — the element counters are the gate, and the
+// measured-cost default is timing-dependent.
 constexpr Direction kDirections[] = {
-    {"scan", 0.0},
-    {"frontier", 2.0},
-    {"hybrid", kDefaultFrontierDensity},
+    {"scan", FrontierSwitch::kScanOnly},
+    {"frontier", FrontierSwitch::kFrontierOnly},
+    {"hybrid", FrontierSwitch::kFixedDensity},
 };
 
 struct MicroGraph {
@@ -52,10 +54,7 @@ bool RunTip(const MicroGraph& mg, std::vector<JsonRecord>& records,
     TipOptions options;
     options.num_threads = DefaultThreads();
     options.num_partitions = DefaultPartitions();
-    // Direction forcing requires the fixed-density switch; the
-    // measured-cost default would override the threshold.
-    options.frontier_switch = FrontierSwitch::kFixedDensity;
-    options.frontier_density_threshold = dir.threshold;
+    options.frontier_switch = dir.rule;
     const TipResult r = ReceiptDecompose(mg.graph, options);
 
     if (reference.empty()) {
@@ -83,7 +82,6 @@ bool RunTip(const MicroGraph& mg, std::vector<JsonRecord>& records,
 
     JsonRecord record;
     record.name = std::string(mg.name) + "/tip/" + dir.name;
-    record.values.emplace_back("threshold", dir.threshold);
     AppendPeelStats(r.stats, &record);
     records.push_back(std::move(record));
   }
@@ -113,8 +111,7 @@ bool RunWing(const MicroGraph& mg, std::vector<JsonRecord>& records) {
     ReceiptWingOptions options;
     options.num_threads = DefaultThreads();
     options.num_partitions = 8;
-    options.frontier_switch = FrontierSwitch::kFixedDensity;
-    options.frontier_density_threshold = dir.threshold;
+    options.frontier_switch = dir.rule;
     const WingResult r = ReceiptWingDecompose(mg.graph, options);
 
     if (reference.empty()) {
@@ -136,7 +133,6 @@ bool RunWing(const MicroGraph& mg, std::vector<JsonRecord>& records) {
 
     JsonRecord record;
     record.name = std::string(mg.name) + "/wing/" + dir.name;
-    record.values.emplace_back("threshold", dir.threshold);
     AppendPeelStats(r.stats, &record);
     records.push_back(std::move(record));
   }

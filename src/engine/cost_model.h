@@ -57,15 +57,6 @@ PlacementPlan AssignLpt(std::span<const Count> costs, uint32_t num_bins);
 PlacementPlan AssignRoundRobin(std::span<const Count> costs,
                                uint32_t num_bins);
 
-/// Scan-path twin of the SupportIndex prefix prediction: the cost mass of
-/// entities with support < hi in an alive (support, cost) multiset.
-/// RangeDecomposer calls this after the legacy FindRangeBound so both
-/// coarse paths record bit-identical predicted range costs. Order-
-/// independent (plain integer fold), tolerant of the selection's in-place
-/// partitioning.
-Count CostMassBelow(std::span<const std::pair<Count, Count>> support_and_cost,
-                    Count hi);
-
 }  // namespace receipt::engine
 
 #endif  // RECEIPT_ENGINE_COST_MODEL_H_

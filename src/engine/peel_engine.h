@@ -150,20 +150,21 @@ class WingPeelGraph {
 // peel kernels emit newly-in-range entities into per-thread workspace
 // frontier buffers, deduplicated through the pool's per-round epoch bitmap,
 // and the next active set is the order-preserving merge of those buffers —
-// unless the frontier is dense relative to the surviving population (or a
-// HUC re-count invalidated the tracking), in which case the engine falls
-// back to the full parallel scan. Both directions produce bit-identical
-// active sets: every entity alive and in range at the start of round r+1
-// must have received its below-`hi` update during round r (all of round r's
-// active set was peeled), so the claimed set equals the scan set, and
-// sorting the merge restores the scan's ascending-id order.
+// unless the frontier is dense relative to the surviving population, in
+// which case the engine falls back to the full parallel scan (the
+// FrontierSwitch rule decides; a HUC re-count, which invalidates the
+// tracking, rebuilds from the SupportIndex). Both directions produce
+// bit-identical active sets: every entity alive and in range at the start
+// of round r+1 must have received its below-`hi` update during round r
+// (all of round r's active set was peeled), so the claimed set equals the
+// scan set, and sorting the merge restores the scan's ascending-id order.
 //
-// The per-range work is output-sensitive through the pool's SupportIndex
-// (default on): range bounds come from a histogram prefix walk plus a
-// bounded one-bucket refine, and ⊲⊳init is written once up front and then
-// patched at each boundary from the entities whose support actually changed
-// — the scan fallback (use_support_index = false: per-range alive filter +
-// selection, per-range ⊲⊳init snapshot) is retained and bit-identical.
+// The per-range work is output-sensitive through the pool's SupportIndex:
+// range bounds come from a histogram prefix walk plus a bounded one-bucket
+// refine, ⊲⊳init is written once up front and then patched at each boundary
+// from the entities whose support actually changed, and each range's first
+// active set comes from the histogram's member lists — no per-range O(n)
+// pass. tests/coarse_oracle.h restates the same decomposition naively.
 // ===========================================================================
 
 /// Per-range record of the ⊲⊳init boundary patches a coarse run applied:
@@ -172,8 +173,8 @@ class WingPeelGraph {
 /// the i+1 boundary. An incremental re-run replays these entries to advance
 /// its shadow of the recorded run's support trajectory without re-traversing
 /// any wedges. `valid` drops to false when the recording run cannot vouch
-/// for completeness: the scan fallback (no delta tracking at all) or a HUC
-/// re-count (which rewrites every alive support behind the tracking).
+/// for completeness: a HUC re-count rewrites every alive support behind the
+/// delta tracking.
 struct CoarsePatchLog {
   std::vector<std::vector<std::pair<uint64_t, Count>>> ranges;
   bool valid = true;
@@ -231,24 +232,18 @@ struct IncrementalOutcome {
 
 /// Knobs of the coarse decomposition engine, bundled so drivers forward
 /// their option structs in one hop. Every combination is bit-identical —
-/// the knobs trade rebuild and bound-determination cost, never results.
+/// the knobs trade rebuild cost, never results.
 struct CoarseOptions {
   /// P: subsets with caller-chosen bounds; one unbounded subset absorbs
   /// the rest once exhausted (§3.1.1).
   uint32_t max_partitions = 1;
   int num_threads = 1;
-  /// Direction rule under kFixedDensity (see kDefaultFrontierDensity):
-  /// ≤ 0 forces full scans, > 1 forces frontier merges.
-  double frontier_density_threshold = kDefaultFrontierDensity;
-  /// Fixed-fraction vs measured-cost direction switching. Measured cost is
-  /// the default: the run adapts to the machine's actual rebuild costs and
-  /// falls back to the density rule until both directions are sampled.
-  /// Pin kFixedDensity to force directions via the threshold (the
-  /// direction-forcing suites and micro-benches do).
+  /// Active-set rebuild direction rule (see FrontierSwitch). Measured cost
+  /// is the default: the run adapts to the machine's actual rebuild costs
+  /// and falls back to the fixed density rule until both directions are
+  /// sampled. The direction-forcing suites and micro-benches pin one of
+  /// the three deterministic rules.
   FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
-  /// Histogram-indexed range bounds + delta-patched ⊲⊳init (default) vs
-  /// the legacy per-range O(n) scan path.
-  bool use_support_index = true;
   /// Span sink (null by default): the decomposer emits one
   /// "engine.cd.range" span per produced subset.
   obs::TraceContext trace;
@@ -263,9 +258,7 @@ CoarseOptions MakeCoarseOptions(const DriverOptions& options,
   CoarseOptions coarse;
   coarse.max_partitions = max_partitions;
   coarse.num_threads = options.num_threads;
-  coarse.frontier_density_threshold = options.frontier_density_threshold;
   coarse.frontier_switch = options.frontier_switch;
-  coarse.use_support_index = options.use_support_index;
   coarse.trace = options.trace;
   return coarse;
 }
@@ -293,7 +286,8 @@ class RangeDecomposer {
         num_threads_(options.num_threads),
         pool_(&pool),
         maintenance_(maintenance),
-        control_(control) {}
+        control_(control),
+        index_(&pool.support_index()) {}
 
   /// Peels every entity, producing subsets with non-overlapping peel-number
   /// ranges. Contributes wedges_cd, sync_rounds, peel_iterations,
@@ -320,8 +314,8 @@ class RangeDecomposer {
   /// range, so that value is the in-range minimum). Replay then kills the
   /// sealed members, advances survivors to their recorded boundary values
   /// shifted by their current divergence, and copies the sealed peel order
-  /// verbatim — no wedge is traversed. Requires use_support_index; with an
-  /// unusable baseline this degenerates to Run() (outcome reports it).
+  /// verbatim — no wedge is traversed. With an unusable baseline this
+  /// degenerates to Run() (outcome reports it).
   RangeResult<Id> RunIncremental(const IncrementalSeed<Id>& seed,
                                  IncrementalOutcome* outcome,
                                  PeelStats* stats) {
@@ -331,8 +325,8 @@ class RangeDecomposer {
   /// Optional boundary-patch recorder: when set, the run records each
   /// range's surviving support changes into `log` (Reset() up front) so
   /// the *next* incremental run can replay this run's trajectory. The log
-  /// is marked invalid when completeness cannot be guaranteed (scan
-  /// fallback, HUC re-count). `log` must outlive the run.
+  /// is marked invalid when completeness cannot be guaranteed (a HUC
+  /// re-count). `log` must outlive the run.
   void set_patch_log(CoarsePatchLog* log) { record_log_ = log; }
 
  private:
@@ -352,18 +346,14 @@ class RangeDecomposer {
     epochs_ = &pool_->frontier_epochs();
     epochs_->Reset(n);
 
-    index_ = opts_.use_support_index ? &pool_->support_index() : nullptr;
     full_patch_needed_ = false;
-    if (record_log_ != nullptr) {
-      record_log_->Reset();
-      if (index_ == nullptr) record_log_->valid = false;
-    }
+    if (record_log_ != nullptr) record_log_->Reset();
 
-    // An incremental baseline is usable only when the indexed path is on,
-    // the sealed run's patch log is complete, and the baseline spans line
-    // up with the current entity space; otherwise this is a plain full run
-    // (which, with a recorder set, seeds the next seal instead).
-    incremental_ = seed != nullptr && index_ != nullptr &&
+    // An incremental baseline is usable only when the sealed run's patch
+    // log is complete and the baseline spans line up with the current
+    // entity space; otherwise this is a plain full run (which, with a
+    // recorder set, seeds the next seal instead).
+    incremental_ = seed != nullptr &&
                    seed->sealed != nullptr && seed->log != nullptr &&
                    seed->log->valid && !seed->sealed->subsets.empty() &&
                    seed->old_support.size() == n &&
@@ -394,17 +384,15 @@ class RangeDecomposer {
       *outcome = IncrementalOutcome{};
       outcome->fell_back_full = !incremental_;
     }
-    if (index_ != nullptr) {
-      // ⊲⊳init is written exactly once up front (every entity is alive
-      // before the first range) and patched at later boundaries from the
-      // delta tracking — no per-range O(n) snapshot.
-      ParallelFor(n, num_threads_, [&](size_t e) {
-        if (pg_->IsAlive(static_cast<Id>(e))) {
-          result.init_support[e] = pg_->Support(static_cast<Id>(e));
-        }
-      });
-      RebuildIndex(n, stats);
-    }
+    // ⊲⊳init is written exactly once up front (every entity is alive
+    // before the first range) and patched at later boundaries from the
+    // delta tracking — no per-range O(n) snapshot.
+    ParallelFor(n, num_threads_, [&](size_t e) {
+      if (pg_->IsAlive(static_cast<Id>(e))) {
+        result.init_support[e] = pg_->Support(static_cast<Id>(e));
+      }
+    });
+    RebuildIndex(n, stats);
 
     const Count total_static = ParallelReduceSum<Count>(
         n, num_threads_, [&](size_t e) { return static_cost_[e]; },
@@ -413,8 +401,8 @@ class RangeDecomposer {
     double target = remaining_cost / max_partitions_;  // Alg. 3 line 4
     // Exact-integer twin of remaining_cost, kept so the final unbounded
     // subset's predicted cost (= all remaining mass) is bit-identical
-    // across paths and thread counts (the double track feeds the adaptive
-    // target only).
+    // across thread counts (the double track feeds the adaptive target
+    // only).
     Count remaining_static = total_static;
 
     uint64_t alive_count = n;
@@ -431,25 +419,17 @@ class RangeDecomposer {
 
       // Bring ⊲⊳init up to the state "after all lower subsets were fully
       // peeled" (Alg. 3 lines 6-7): a delta patch over the entities whose
-      // support changed during the previous range (indexed path) or the
-      // legacy full snapshot (scan fallback / post-re-count).
-      if (index_ != nullptr) {
-        PatchBoundary(n, result, stats);
-        index_->OpenRangeEpoch();
-      } else {
-        ParallelFor(n, num_threads_, [&](size_t e) {
-          if (pg_->IsAlive(static_cast<Id>(e))) {
-            result.init_support[e] = pg_->Support(static_cast<Id>(e));
-          }
-        });
-      }
+      // support changed during the previous range (a full snapshot after a
+      // re-count).
+      PatchBoundary(n, result, stats);
+      index_->OpenRangeEpoch();
 
       // Upper bound of this range (Alg. 3 line 8). Once the user-specified
       // P is exhausted, the final subset takes everything left (§3.1.1).
       Count hi = kInvalidCount;
-      // Cost-model prediction for this range (see RangeResult docs): an
-      // exact integer both bound paths derive from the same multiset. The
-      // final unbounded subset's prediction is everything left.
+      // Cost-model prediction for this range (see RangeResult docs): the
+      // exact integer cost mass below the bound. The final unbounded
+      // subset's prediction is everything left.
       Count predicted = remaining_static;
       result.subsets.emplace_back();
 
@@ -485,30 +465,15 @@ class RangeDecomposer {
       }
 
       if (!replayed) {
-        // Indexed: a histogram prefix walk plus a one-bucket refine, cost
-        // proportional to buckets walked, not n. Fallback: one parallel
-        // alive filter + partial selection per subset. Skipped while the
-        // sealed bound stands in (replay and tracked re-peels), which is
-        // itself part of the incremental savings.
+        // A histogram prefix walk plus a one-bucket refine, cost
+        // proportional to buckets walked, not n. Skipped while the sealed
+        // bound stands in (replay and tracked re-peels), which is itself
+        // part of the incremental savings.
         if (!bound_from_sealed && subset_index < max_partitions_) {
-          const double clamped = std::max(1.0, target);
-          if (index_ != nullptr) {
-            hi = index_->FindBound(
-                RangeCostNeed(clamped),
-                [&](uint64_t e) { return pg_->Support(static_cast<Id>(e)); },
-                stats, &predicted);
-          } else {
-            ParallelFilterInto(
-                n, num_threads_, range_scratch_,
-                [&](size_t e) { return pg_->IsAlive(static_cast<Id>(e)); },
-                [&](size_t e) {
-                  return std::pair<Count, Count>(
-                      pg_->Support(static_cast<Id>(e)), static_cost_[e]);
-                },
-                &filter_offsets_);
-            hi = FindRangeBound(range_scratch_, clamped);
-            predicted = CostMassBelow(range_scratch_, hi);
-          }
+          hi = index_->FindBound(
+              RangeCostNeed(std::max(1.0, target)),
+              [&](uint64_t e) { return pg_->Support(static_cast<Id>(e)); },
+              stats, &predicted);
         }
         alive_count =
             PeelRange(subset_index, result.bounds.back(), hi, alive_count, n,
@@ -769,12 +734,14 @@ class RangeDecomposer {
   }
 
   /// True when the next active set should be rebuilt by a full scan instead
-  /// of a frontier merge. The fixed-density rule is deterministic across
-  /// thread counts (the frontier size is a set property, not a schedule
-  /// property); the measured-cost rule compares EWMA per-element rebuild
-  /// costs and is timing-dependent — either way the rebuilt set is
-  /// bit-identical, only its cost changes.
+  /// of a frontier merge. The forced and fixed-density rules are
+  /// deterministic across thread counts (the frontier size is a set
+  /// property, not a schedule property); the measured-cost rule compares
+  /// EWMA per-element rebuild costs and is timing-dependent — either way
+  /// the rebuilt set is bit-identical, only its cost changes.
   bool UseScan(uint64_t frontier_size, uint64_t alive, uint64_t n) {
+    if (opts_.frontier_switch == FrontierSwitch::kScanOnly) return true;
+    if (opts_.frontier_switch == FrontierSwitch::kFrontierOnly) return false;
     if (opts_.frontier_switch == FrontierSwitch::kMeasuredCost &&
         scan_cost_ewma_ > 0.0 && frontier_cost_ewma_ > 0.0) {
       bool scan = static_cast<double>(n) * scan_cost_ewma_ <
@@ -796,9 +763,8 @@ class RangeDecomposer {
       measured_last_scan_ = scan;
       return scan;
     }
-    if (opts_.frontier_density_threshold <= 0.0) return true;
     return static_cast<double>(frontier_size) >=
-           opts_.frontier_density_threshold * static_cast<double>(alive);
+           kFrontierDensity * static_cast<double>(alive);
   }
 
   /// The one EWMA update both direction gauges share (the kMeasuredCost
@@ -810,8 +776,7 @@ class RangeDecomposer {
   }
 
   /// One timed full-scan active-set rebuild with its direction accounting —
-  /// the scan fallback's build-everywhere path and the indexed path's
-  /// dense-frontier fallback.
+  /// the dense-frontier direction.
   template <typename InRange, typename AsId>
   void RebuildByScan(uint64_t n, InRange&& in_range, AsId&& as_id,
                      PeelStats* stats) {
@@ -830,8 +795,8 @@ class RangeDecomposer {
   /// produces (member-list order is schedule-dependent; the sorted set is
   /// bit-identical to RebuildByScan's). Only called while bucket
   /// membership is reconciled: the initial build of each range (right
-  /// after the boundary patch) and the post-re-count rebuild (right after
-  /// RebuildIndex).
+  /// after the boundary patch, Alg. 3 line 9) and the post-re-count
+  /// rebuild (right after RebuildIndex).
   void RebuildByIndex(Count hi, PeelStats* stats) {
     active_.clear();
     index_->ForEachAliveBelow(
@@ -839,17 +804,6 @@ class RangeDecomposer {
         stats, [&](uint64_t e) { active_.push_back(static_cast<Id>(e)); });
     std::sort(active_.begin(), active_.end());
     ++stats->index_build_rounds;
-  }
-
-  /// Full rebuild dispatch for the two reconciled call sites above.
-  template <typename InRange, typename AsId>
-  void RebuildFull(uint64_t n, Count hi, InRange&& in_range, AsId&& as_id,
-                   PeelStats* stats) {
-    if (index_ != nullptr) {
-      RebuildByIndex(hi, stats);
-    } else {
-      RebuildByScan(n, in_range, as_id, stats);
-    }
   }
 
   /// Peels every alive entity with support in [lo, hi) — the round loop of
@@ -867,10 +821,10 @@ class RangeDecomposer {
 
     // First active set of the range: necessarily a full rebuild (Alg. 3
     // line 9) — entities whose support already lay inside the new, wider
-    // range were never updated, so no frontier knows them. On the indexed
-    // path the histogram was just reconciled at the boundary, so the set
-    // comes from its member lists instead of an O(n) scan.
-    RebuildFull(n, hi, in_range, as_id, stats);
+    // range were never updated, so no frontier knows them. The histogram
+    // was just reconciled at the boundary, so the set comes from its
+    // member lists instead of an O(n) scan.
+    RebuildByIndex(hi, stats);
 
     while (!active_.empty()) {
       ++stats->sync_rounds;
@@ -881,14 +835,11 @@ class RangeDecomposer {
       for (const Id e : active_) {
         result.subset_of[e] = subset_index;
         pg_->BeginPeel(e);
-        if (index_ != nullptr) {
-          index_->Remove(static_cast<uint64_t>(e), static_cost_[e]);
-        }
+        index_->Remove(static_cast<uint64_t>(e), static_cost_[e]);
       }
       alive_count -= active_.size();
       subset.insert(subset.end(), active_.begin(), active_.end());
 
-      bool need_full_scan = false;
       bool recounted = false;
       if constexpr (PeelGraph::kSupportsRecount) {
         if (maintenance_ != nullptr && alive_count > 0) {
@@ -902,23 +853,19 @@ class RangeDecomposer {
             stats->wedges_cd += pg_->RecountSupports(
                 lo, *pool_, num_threads_, pool_->Get(0));
             maintenance_->EndRecount();
-            need_full_scan = true;  // re-count invalidated the tracking
             recounted = true;
-            if (index_ != nullptr) {
-              // The re-count rewrote every alive support behind the delta
-              // tracking's back: rebuild the histogram now (later rounds
-              // still Remove() against it) and fall back to one full
-              // ⊲⊳init snapshot at the next boundary.
-              RebuildIndex(n, stats);
-              full_patch_needed_ = true;
-            }
+            // The re-count rewrote every alive support behind the delta
+            // tracking's back: rebuild the histogram now (later rounds
+            // still Remove() against it) and fall back to one full
+            // ⊲⊳init snapshot at the next boundary.
+            RebuildIndex(n, stats);
+            full_patch_needed_ = true;
           }
         }
       }
 
       if (!recounted) {
         epochs_->NextRound();
-        const bool track_deltas = index_ != nullptr;
         const uint64_t wedges_before = pool_->TotalWedges();
         ParallelForWithContext(
             active_.size(), num_threads_, pool_->workspaces(),
@@ -926,7 +873,7 @@ class RangeDecomposer {
               ws.wedges_traversed += pg_->PeelOneAtomic(
                   active_[i], lo, ws, [&](Id x, Count new_support) {
                     const uint64_t xid = static_cast<uint64_t>(x);
-                    if (track_deltas && index_->ClaimDelta(xid)) {
+                    if (index_->ClaimDelta(xid)) {
                       ws.support_delta.push_back(xid);
                     }
                     if (new_support < hi && epochs_->Claim(xid)) {
@@ -951,10 +898,8 @@ class RangeDecomposer {
             merged_frontier_.push_back(static_cast<Id>(x));
           }
           ws.frontier.clear();
-          if (index_ != nullptr) {
-            index_->AppendChanged(ws.support_delta);
-            ws.support_delta.clear();
-          }
+          index_->AppendChanged(ws.support_delta);
+          ws.support_delta.clear();
         }
       }
 
@@ -965,12 +910,13 @@ class RangeDecomposer {
       }
 
       // Next active set (Alg. 3 line 14): merge the frontier when it is
-      // sparse; re-scan when it is dense or a re-count invalidated the
-      // tracking. Identical output either way (see class comment).
-      if (need_full_scan) {
+      // sparse, re-scan when it is dense, rebuild from the index when a
+      // re-count invalidated the tracking. Identical output either way
+      // (see class comment).
+      if (recounted) {
         // A re-count just rebuilt the index, so its membership is exact —
-        // the indexed path rebuilds from member lists here too.
-        RebuildFull(n, hi, in_range, as_id, stats);
+        // rebuild from member lists here too.
+        RebuildByIndex(hi, stats);
       } else if (merged_frontier_.empty()) {
         // No entity dropped into range this round, so the range is
         // exhausted (the claimed set equals the scan set) — a terminal
@@ -1006,8 +952,8 @@ class RangeDecomposer {
   WorkspacePool* pool_;
   GraphMaintenance* maintenance_;
   PeelControl* control_;
+  SupportIndex* index_;
   FrontierEpochs* epochs_ = nullptr;
-  SupportIndex* index_ = nullptr;
   bool full_patch_needed_ = false;
   // Incremental-pass state (see RunIncremental): the recorder for the next
   // seal, the sealed trajectory shadow, and the divergence candidate set.
@@ -1023,7 +969,6 @@ class RangeDecomposer {
   bool measured_last_scan_ = false;
 
   // Round-loop scratch, reused across ranges within one Run().
-  std::vector<std::pair<Count, Count>> range_scratch_;
   std::vector<size_t> filter_offsets_;  // ParallelFilterInto scratch
   std::vector<Count> reduce_scratch_;   // ParallelReduceSum scratch
   std::vector<Id> active_;

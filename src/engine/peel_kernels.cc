@@ -84,9 +84,4 @@ Count RangeCostNeed(double target) {
                           : static_cast<Count>(need);
 }
 
-Count FindRangeBound(std::vector<std::pair<Count, Count>>& support_and_cost,
-                     double target) {
-  return FindRangeBoundNeed(support_and_cost, RangeCostNeed(target));
-}
-
 }  // namespace receipt::engine

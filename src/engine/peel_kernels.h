@@ -129,36 +129,27 @@ uint64_t PeelEdgeButterflies(const BipartiteGraph& graph,
 
 /// findHi (Alg. 3 lines 16-21) for both vertex and edge ranges: the
 /// smallest support value s such that the cumulative static peel-cost of
-/// alive entities with support ≤ s reaches `target`, returned as the
-/// exclusive bound s+1. Falls back to max_support+1 when the total cost
-/// mass is below the target, and to kInvalidCount (an unbounded range
-/// absorbing everything) when no entities remain — the empty-input guard.
+/// alive entities with support ≤ s reaches `need` (an exact Count — see
+/// RangeCostNeed), returned as the exclusive bound s+1. Falls back to
+/// max_support+1 when the total cost mass is below `need`, and to
+/// kInvalidCount (an unbounded range absorbing everything) when no entities
+/// remain — the empty-input guard.
 ///
 /// Cumulates in exact integer arithmetic (the crossing only depends on the
 /// cost multiset per support value, so the result is permutation- and
-/// schedule-independent — the property the SupportIndex histogram path
-/// relies on to stay bit-identical with this one). Implemented by
-/// quickselect-style partial selection rather than a full sort: when the
-/// target lands early in the support order — the common case, since range
-/// targets are a 1/P' fraction of the remaining mass — only the low
-/// partitions are ever ordered. Partitions `support_and_cost` in place.
-Count FindRangeBound(std::vector<std::pair<Count, Count>>& support_and_cost,
-                     double target);
-
-/// Integer-target core of FindRangeBound: the smallest support s whose
-/// cumulative cost reaches `need` (an exact Count), as the exclusive bound
-/// s+1. Shared by the legacy vector path (after ceil-converting its double
-/// target) and the SupportIndex in-bucket refine, so both resolve crossings
-/// with identical arithmetic. Partitions `support_and_cost` in place.
+/// schedule-independent). Implemented by quickselect-style partial
+/// selection rather than a full sort: when the target lands early in the
+/// support order — the common case, since range targets are a 1/P'
+/// fraction of the remaining mass — only the low partitions are ever
+/// ordered. The SupportIndex in-bucket refine resolves its crossings with
+/// it. Partitions `support_and_cost` in place.
 Count FindRangeBoundNeed(std::vector<std::pair<Count, Count>>& support_and_cost,
                          Count need);
 
-/// The one double-target → integer-need conversion both bound paths share:
+/// The double-target → integer-need conversion of the coarse step:
 /// cumulative cost is an exact Count, so crossing the double target is
 /// equivalent to reaching its ceiling (clamped to ≥ 1, and capped below
-/// 2^64 for pathological inputs). Keeping this a single definition is part
-/// of the indexed/scan bit-identicality contract — FindRangeBound applies
-/// it internally and RangeDecomposer applies it before the histogram walk.
+/// 2^64 for pathological inputs).
 Count RangeCostNeed(double target);
 
 }  // namespace receipt::engine

@@ -25,20 +25,18 @@ struct RangeResult {
 
   /// ⊲⊳init: the support of e after all lower subsets were fully peeled and
   /// before its own subset's peeling began — the FD initialization vector.
-  /// Produced either by per-range snapshots (scan path) or by one up-front
-  /// write plus boundary patches at changed entities (SupportIndex path);
-  /// the two are bit-identical, which the coarse equivalence suites assert
-  /// field by field.
+  /// Produced by one up-front write plus boundary patches at changed
+  /// entities (SupportIndex deltas); the coarse oracle suites check it
+  /// field by field against a per-range snapshot.
   std::vector<Count> init_support;
 
   /// predicted_costs[i] = the cost-model prediction for subset i: the
   /// static-cost mass of the entities alive with support inside range i at
   /// the moment its bound was fixed (all remaining mass for the final
-  /// unbounded subset). Read off the histogram's bucket cost sums on the
-  /// indexed path and reproduced exactly by the scan fallback — an
-  /// integer, bit-identical across paths and thread counts. The FD
-  /// placement layer's LPT assigner consumes it in place of the legacy
-  /// O(m) induced wedge-count pass.
+  /// unbounded subset). Read off the histogram's bucket cost sums — an
+  /// integer, bit-identical across thread counts. The FD placement layer's
+  /// LPT assigner consumes it in place of the legacy O(m) induced
+  /// wedge-count pass.
   std::vector<Count> predicted_costs;
 };
 

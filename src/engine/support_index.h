@@ -141,7 +141,7 @@ class SupportIndex {
 
   /// findHi over the histogram: the smallest support s whose cumulative
   /// alive cost reaches `need`, returned as the exclusive bound s + 1 —
-  /// exactly FindRangeBound's semantics (max support + 1 when the total
+  /// exactly FindRangeBoundNeed's semantics (max support + 1 when the total
   /// mass is below `need`, kInvalidCount when nothing is alive). `supports`
   /// resolves exact member supports during the bounded refine.
   /// Contributes bound_walk_buckets and histogram_refines to `*stats`.
@@ -150,9 +150,8 @@ class SupportIndex {
   /// range the bound opens — Σ cost over alive entities with support < the
   /// returned bound, an exact integer read off the bucket cost sums the
   /// walk accumulates anyway. This is the per-range peel-cost prediction
-  /// the placement layer's LPT assigner consumes; the scan fallback
-  /// reproduces the identical value with CostMassBelow, which the
-  /// bit-identicality suites assert.
+  /// the placement layer's LPT assigner consumes; the coarse oracle
+  /// suites check it against a naive prefix sum.
   template <typename SupportFn>
   Count FindBound(Count need, SupportFn&& supports, PeelStats* stats,
                   Count* predicted_cost = nullptr) {
@@ -325,7 +324,7 @@ class SupportIndex {
   void PrepareStorage(uint64_t n, Count max_support);
 
   /// Resolves the exact crossing inside refine_scratch_ for residual mass
-  /// `need` (selection-based, shared semantics with FindRangeBound).
+  /// `need` (selection-based, via FindRangeBoundNeed).
   Count RefineCrossing(Count need);
 
   uint32_t shift_ = 0;

@@ -189,7 +189,8 @@ struct AnalogueSpec {
 
 // Scaled analogues of Table 2. The V-side skew (alpha_v) controls the U-side
 // peeling workload (∧_U = Σ_v d_v(d_v−1)) and therefore the ratio
-// r = ∧peel/∧cnt that decides who benefits from HUC; see DESIGN.md §2.
+// r = ∧peel/∧cnt that decides who benefits from HUC; see README.md,
+// "Dataset analogues".
 constexpr AnalogueSpec kAnalogues[] = {
     {"it", "Italian Wikipedia pages-editors analogue: small V side with "
            "heavy hubs; U-side peeling ≫ V-side peeling",

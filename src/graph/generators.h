@@ -17,7 +17,7 @@ namespace receipt {
 /// deterministic analogues whose *wedge-distribution shape* (degree skew,
 /// U/V wedge asymmetry, butterfly density) matches each dataset's role in
 /// the evaluation, at a scale that runs on one machine in seconds. See
-/// DESIGN.md §2 for the substitution argument.
+/// README.md, "Dataset analogues", for the substitution argument.
 
 /// Uniform random bipartite graph: `num_edges` distinct edges sampled
 /// uniformly from the num_u × num_v grid. Deterministic for a fixed seed.

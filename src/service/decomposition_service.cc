@@ -521,10 +521,6 @@ Response DecompositionService::RunEngine(Task& task,
           task.request.kind == RequestKind::kTipV ? Side::kV : Side::kU;
       options.num_threads = threads;
       options.num_partitions = task.request.partitions;
-      options.frontier_density_threshold =
-          options_.frontier_density_threshold;
-      options.frontier_switch = options_.frontier_switch;
-      options.use_support_index = options_.use_support_index;
       options.workspace_pool = &pool;
       options.control = &task.control;
       options.trace = task.request.trace;
@@ -548,10 +544,6 @@ Response DecompositionService::RunEngine(Task& task,
       ReceiptWingOptions options;
       options.num_threads = threads;
       options.num_partitions = task.request.partitions;
-      options.frontier_density_threshold =
-          options_.frontier_density_threshold;
-      options.frontier_switch = options_.frontier_switch;
-      options.use_support_index = options_.use_support_index;
       options.workspace_pool = &pool;
       options.control = &task.control;
       options.trace = task.request.trace;

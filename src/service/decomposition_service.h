@@ -44,17 +44,6 @@ struct ServiceOptions {
   /// scratch that is already warm for exactly that graph shape.
   size_t max_batch = 8;
 
-  /// Frontier-density threshold applied to every RECEIPT / RECEIPT-W run
-  /// the service executes (see TipOptions::frontier_density_threshold).
-  /// Not part of the cache/coalesce key: both rebuild directions produce
-  /// bit-identical numbers, so results are interchangeable.
-  double frontier_density_threshold = kDefaultFrontierDensity;
-
-  /// Rebuild-direction rule for every RECEIPT / RECEIPT-W run (see
-  /// TipOptions::frontier_switch). Like the density threshold, not part of
-  /// the cache/coalesce key — results are bit-identical either way.
-  FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
-
   /// Schedule workers and queues against this many virtual nodes instead
   /// of the discovered topology (0 = auto). Tests force multi-queue
   /// scheduling on any machine this way; pinning is a no-op for virtual
@@ -67,12 +56,6 @@ struct ServiceOptions {
   /// node-locally. Effective only on real topologies with more than one
   /// node; results are bit-identical either way.
   bool pin_numa = true;
-
-  /// SupportIndex-driven coarse steps for every RECEIPT / RECEIPT-W run
-  /// (see TipOptions::use_support_index). The index lives in each worker's
-  /// WorkspacePool, so its buckets/stamps are reused across requests like
-  /// the rest of the per-worker scratch. Not part of the cache key.
-  bool use_support_index = true;
 
   /// Live-update seal policy (see LiveOptions): buffered edge updates per
   /// graph before a seal is forced, …

@@ -30,8 +30,6 @@ TipOptions TipSealOptions(const LiveConfig& config, int threads,
   // next seal. HUC never changes results (RECEIPT-- equivalence), so seal
   // runs simply pin it off to keep every run's log replayable.
   options.use_huc = false;
-  // The patch log and the incremental replay both live on the SupportIndex.
-  options.use_support_index = true;
   options.workspace_pool = pool;
   return options;
 }
@@ -41,7 +39,6 @@ ReceiptWingOptions WingSealOptions(const LiveConfig& config, int threads,
   ReceiptWingOptions options;
   options.num_threads = threads;
   options.num_partitions = static_cast<int>(config.partitions);
-  options.use_support_index = true;
   options.workspace_pool = pool;
   return options;
 }

@@ -120,11 +120,9 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
   std::vector<Count> costs;
   if (cd.predicted_costs.size() == num_subsets) {
     costs = cd.predicted_costs;
-  } else if (options.workload_aware_scheduling) {
+  } else {
     costs = ComputeSubsetWedgeCounts(graph, cd.subset_of, num_subsets,
                                      options.num_threads);
-  } else {
-    costs.assign(num_subsets, 1);
   }
 
   // Node layout: forced virtual nodes (benches/tests), else the machine's.
@@ -141,13 +139,10 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
   // Place partitions onto nodes (§3.2.1's LPT rule lifted from a sort
   // order to a node assignment). Deterministic: a pure function of the
   // predicted costs and the node count.
-  const bool cost_guided =
-      options.workload_aware_scheduling &&
-      options.fd_assignment == engine::PlacementAssign::kCostLpt;
   const engine::PlacementPlan plan =
-      cost_guided ? engine::AssignLpt(costs, static_cast<uint32_t>(num_nodes))
-                  : engine::AssignRoundRobin(costs,
-                                             static_cast<uint32_t>(num_nodes));
+      options.fd_assignment == engine::PlacementAssign::kCostLpt
+          ? engine::AssignLpt(costs, static_cast<uint32_t>(num_nodes))
+          : engine::AssignRoundRobin(costs, static_cast<uint32_t>(num_nodes));
   stats->placement_nodes =
       std::max(stats->placement_nodes, static_cast<uint64_t>(num_nodes));
   stats->makespan_predicted =

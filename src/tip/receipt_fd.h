@@ -22,16 +22,16 @@ std::vector<Count> ComputeSubsetWedgeCounts(const BipartiteGraph& graph,
 
 /// RECEIPT FD (Alg. 4): computes exact tip numbers by peeling each CD subset
 /// independently. Subsets are placed onto nodes up front by the cost-model
-/// plan (LPT over cd.predicted_costs when workload_aware_scheduling is on,
-/// round-robin otherwise — see TipOptions::fd_assignment /
-/// placement_nodes / pin_numa); worker threads then pop from their own
-/// node's queue first and steal from other nodes' queues only when theirs
-/// runs dry, so hot task state stays node-local. Each popped subset is
-/// peeled whole: build the induced subgraph, initialize supports from
-/// ⊲⊳init, run the engine's sequential bottom-up peeler with a k-way
-/// min-heap. No thread synchronization occurs until the final join, so FD
-/// adds 0 to sync_rounds. Placement, pinning and steal order never change
-/// results — subsets are independent — only the placement counters.
+/// plan (LPT over cd.predicted_costs, or round-robin — see
+/// TipOptions::fd_assignment / placement_nodes / pin_numa); worker threads
+/// then pop from their own node's queue first and steal from other nodes'
+/// queues only when theirs runs dry, so hot task state stays node-local.
+/// Each popped subset is peeled whole: build the induced subgraph,
+/// initialize supports from ⊲⊳init, run the engine's sequential bottom-up
+/// peeler with a k-way min-heap. No thread synchronization occurs until the
+/// final join, so FD adds 0 to sync_rounds. Placement, pinning and steal
+/// order never change results — subsets are independent — only the
+/// placement counters.
 ///
 /// Falls back to the legacy induced wedge-count pass
 /// (ComputeSubsetWedgeCounts) when `cd` carries no predicted costs.

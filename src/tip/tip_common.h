@@ -38,18 +38,13 @@ struct TipOptions {
   /// this yields the paper's RECEIPT- configuration.
   bool use_dgm = true;
 
-  /// RECEIPT FD only: cost-model-driven scheduling — partitions are placed
-  /// onto nodes by the Longest-Processing-Time rule over their predicted
-  /// peel costs (§3.2.1 / Fig. 3, lifted to a node assignment), and each
-  /// node's queue pops highest cost first. Disabling deals partitions
-  /// round-robin in creation order (equivalent to fd_assignment =
-  /// kRoundRobin). Results are bit-identical either way.
-  bool workload_aware_scheduling = true;
-
-  /// RECEIPT FD only: how partitions are assigned to nodes when
-  /// workload_aware_scheduling is on. kCostLpt (default) is the
-  /// cost-guided placement; kRoundRobin is the baseline the placement
-  /// micro-bench gates against. Results are bit-identical either way.
+  /// RECEIPT FD only: how partitions are assigned to nodes. kCostLpt
+  /// (default) is the workload-aware schedule — the Longest-Processing-Time
+  /// rule over predicted peel costs (§3.2.1 / Fig. 3, lifted to a node
+  /// assignment), each node's queue popping highest cost first. kRoundRobin
+  /// deals partitions in creation order — the naive baseline of the Fig. 3
+  /// ablation and of the placement micro-bench gate. Results are
+  /// bit-identical either way.
   engine::PlacementAssign fd_assignment = engine::PlacementAssign::kCostLpt;
 
   /// RECEIPT FD only: schedule against this many virtual nodes instead of
@@ -69,27 +64,14 @@ struct TipOptions {
   /// implementation ablation; see bench_ablation_extraction).
   MinExtraction min_extraction = MinExtraction::kDAryHeap;
 
-  /// RECEIPT CD only: the frontier-density threshold of the engine's
-  /// direction optimization. While a round's frontier holds fewer than this
-  /// fraction of the remaining alive vertices, the next active set is the
-  /// merged workspace frontiers; otherwise a full parallel scan. ≤ 0 forces
-  /// scan-only rebuilds (the pre-frontier behavior), > 1 forces
-  /// frontier-only rebuilds; results are bit-identical either way.
-  double frontier_density_threshold = kDefaultFrontierDensity;
-
-  /// RECEIPT CD only: how the rebuild direction is picked each round —
-  /// the measured per-element rebuild costs (default: adaptive,
-  /// timing-dependent counters) or the fixed density fraction above
-  /// (deterministic counters; the direction-forcing tests and benches pin
-  /// it). Results are bit-identical under either rule.
+  /// RECEIPT CD only: how the engine's direction optimization picks each
+  /// round's active-set rebuild — a merge of the workspace frontiers or a
+  /// full parallel scan. kMeasuredCost (default) compares measured
+  /// per-element rebuild costs (adaptive, timing-dependent counters);
+  /// kFixedDensity, kScanOnly and kFrontierOnly give deterministic counters
+  /// (the direction-forcing tests and benches pin them). Results are
+  /// bit-identical under every rule.
   FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
-
-  /// RECEIPT CD only: maintain the coarse step's SupportIndex (a
-  /// frontier-fed, cost-weighted support histogram) so range bounds come
-  /// from a histogram prefix walk and ⊲⊳init snapshots become boundary
-  /// patches — per-range cost tracks what changed, not graph size. `false`
-  /// retains the legacy per-range O(n) scan path; both are bit-identical.
-  bool use_support_index = true;
 
   /// Caller-owned per-thread scratch. When set, the decomposition runs on
   /// these workspaces instead of allocating its own pool — the service layer

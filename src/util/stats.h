@@ -46,13 +46,12 @@ struct PeelStats {
   /// Active-set builds served by merging the workspace frontier buffers
   /// (sparse direction: cost proportional to the frontier, not to n).
   uint64_t frontier_rounds = 0;
-  /// Active-set builds that ran as full parallel scans — every
-  /// post-re-count rebuild and dense-frontier fallback, plus (scan
-  /// fallback only) the first build of every range.
+  /// Active-set builds that ran as full parallel scans (the dense
+  /// direction).
   uint64_t scan_rounds = 0;
   /// Active-set builds collected from SupportIndex member lists instead of
   /// an O(n) scan — the first build of every range and every post-re-count
-  /// rebuild on the indexed path.
+  /// rebuild.
   uint64_t index_build_rounds = 0;
   /// Entities examined by full-scan builds (n per scan round).
   uint64_t scan_build_elements = 0;

@@ -35,23 +35,19 @@ inline const char* SideName(Side side) { return side == Side::kU ? "U" : "V"; }
 /// n choose 2 without overflow for the magnitudes we care about.
 inline constexpr Count Choose2(Count n) { return n < 2 ? 0 : n * (n - 1) / 2; }
 
-/// Default frontier-density threshold for range peeling (Julienne-style
-/// direction optimization): while the round's frontier holds fewer than
-/// this fraction of the remaining alive entities, the next active set is
-/// built by merging workspace frontiers; at or above it, the engine falls
-/// back to a full parallel scan. Values ≤ 0 force scan-only rebuilds;
-/// values > 1 force frontier-only rebuilds. Both directions are
-/// bit-identical — the knob trades sparse-list handling against dense
-/// sequential scans. Defined here (the leaf header) so both the engine and
-/// the driver option structs share one default.
-inline constexpr double kDefaultFrontierDensity = 0.2;
+/// Frontier-density threshold of the fixed-density rebuild rule
+/// (Julienne-style direction optimization): while the round's frontier
+/// holds fewer than this fraction of the remaining alive entities, the next
+/// active set is built by merging workspace frontiers; at or above it, the
+/// engine falls back to a full parallel scan.
+inline constexpr double kFrontierDensity = 0.2;
 
 /// How range peeling picks the active-set rebuild direction each round.
-/// Both strategies produce bit-identical decompositions — they only trade
+/// Every rule produces bit-identical decompositions — they only trade
 /// rebuild cost — so the switch is safe to flip per run.
 enum class FrontierSwitch {
   /// Fixed fraction rule: merge frontiers while the round's frontier holds
-  /// fewer than frontier_density_threshold × (remaining alive) entities.
+  /// fewer than kFrontierDensity × (remaining alive) entities.
   /// Deterministic round counters across repeated runs.
   kFixedDensity,
   /// Adaptive rule: compare the measured per-element rebuild cost of the
@@ -60,6 +56,11 @@ enum class FrontierSwitch {
   /// directions have been sampled. Round counters become timing-dependent,
   /// results never do.
   kMeasuredCost,
+  /// Always rebuild the next active set by a full scan (the pre-frontier
+  /// behavior).
+  kScanOnly,
+  /// Always rebuild the next active set by a frontier merge.
+  kFrontierOnly,
 };
 
 }  // namespace receipt

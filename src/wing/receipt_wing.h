@@ -21,19 +21,9 @@ struct ReceiptWingOptions {
   /// suffices; large values inflate the fine-grained environment graphs.
   int num_partitions = 8;
 
-  /// Coarse step only: frontier-density threshold of the engine's direction
-  /// optimization (see TipOptions::frontier_density_threshold — ≤ 0 forces
-  /// scan-only rebuilds, > 1 frontier-only; bit-identical either way).
-  double frontier_density_threshold = kDefaultFrontierDensity;
-
   /// Coarse step only: rebuild-direction rule (see
-  /// TipOptions::frontier_switch; bit-identical either way).
+  /// TipOptions::frontier_switch; bit-identical under every rule).
   FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
-
-  /// Coarse step only: histogram-indexed range bounds + delta-patched
-  /// ⊲⊳init (see TipOptions::use_support_index; `false` retains the legacy
-  /// per-range O(m) scan path, bit-identical either way).
-  bool use_support_index = true;
 
   /// Caller-owned per-thread scratch (see TipOptions::workspace_pool).
   engine::WorkspacePool* workspace_pool = nullptr;
@@ -50,8 +40,8 @@ struct ReceiptWingOptions {
 /// range decomposition of the edge set, without the fine-grained per-subset
 /// peeling. Exposed so the coarse artifacts (bounds, subsets, subset_of,
 /// ⊲⊳init) can be inspected and equivalence-tested directly — the
-/// indexed-vs-scan coarse sweeps and bench_coarse_micro compare these
-/// RangeResults bit-for-bit. Contributes wedges_counting, the CD counters
+/// oracle coarse sweeps and bench_coarse_micro compare these RangeResults
+/// bit-for-bit. Contributes wedges_counting, the CD counters
 /// and num_subsets to `*stats`.
 engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
     const BipartiteGraph& graph, const ReceiptWingOptions& options,

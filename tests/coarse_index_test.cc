@@ -1,11 +1,13 @@
-// Output-sensitive coarse decomposition (SupportIndex): the coarse step may
-// determine range bounds and maintain ⊲⊳init either through the
-// frontier-fed support histogram (indexed path) or through the legacy
-// per-range scans (scan fallback). These suites pin the contract that the
-// two paths produce bit-identical RangeResults — bounds, subsets,
-// subset_of, init_support — for every algorithm, generator shape and
-// thread count, that the index's examined-element counters report what ran,
-// and that the pool-resident index allocates nothing once warm.
+// Output-sensitive coarse decomposition (SupportIndex): the coarse step
+// determines range bounds through a frontier-fed support histogram, patches
+// ⊲⊳init at range boundaries from the entities whose support changed, and
+// builds each range's first active set from the histogram's member lists.
+// These suites pin the engine's RangeResults — bounds, subsets, subset_of,
+// init_support, predicted_costs — to the naive oracle in coarse_oracle.h
+// (which shares no engine code) for every algorithm, generator shape,
+// HUC/DGM setting, partition count and thread count, check that the
+// index's examined-element counters report what ran, and that the
+// pool-resident index allocates nothing once warm.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "coarse_oracle.h"
 #include "engine/support_index.h"
 #include "engine/workspace.h"
 #include "graph/generators.h"
@@ -35,20 +38,30 @@ std::vector<int> SweepThreads() {
 
 BipartiteGraph SweepGraph(bool skewed, uint32_t seed) {
   // Skewed: heavy-tailed degrees, long peeling tails — the regime the
-  // index exists for. Uniform: flat degrees, the scan path's best case.
+  // index exists for. Uniform: flat degrees.
   return skewed ? ChungLuBipartite(400, 260, 3000, 0.8, 0.8, seed)
                 : RandomBipartite(400, 260, 3000, seed);
 }
 
-void ExpectSameRanges(const engine::RangeResult<VertexId>& scan,
-                      const engine::RangeResult<VertexId>& indexed) {
-  EXPECT_EQ(scan.bounds, indexed.bounds);
-  EXPECT_EQ(scan.subsets, indexed.subsets);
-  EXPECT_EQ(scan.subset_of, indexed.subset_of);
-  EXPECT_EQ(scan.init_support, indexed.init_support);
-  // The cost-model input rides along: both paths predict each range's peel
-  // cost with exact integer arithmetic, so the predictions are identical.
-  EXPECT_EQ(scan.predicted_costs, indexed.predicted_costs);
+template <typename Id>
+void ExpectOracleRanges(const oracle::OracleRanges<Id>& expected,
+                        const engine::RangeResult<Id>& actual) {
+  EXPECT_EQ(actual.bounds, expected.bounds);
+  EXPECT_EQ(actual.subsets, expected.subsets);
+  EXPECT_EQ(actual.subset_of, expected.subset_of);
+  EXPECT_EQ(actual.init_support, expected.init_support);
+  // The cost-model input rides along: the histogram's prefix prediction
+  // must equal the naive cost mass below each bound.
+  EXPECT_EQ(actual.predicted_costs, expected.predicted_costs);
+}
+
+void ExpectSameRanges(const engine::RangeResult<VertexId>& a,
+                      const engine::RangeResult<VertexId>& b) {
+  EXPECT_EQ(a.bounds, b.bounds);
+  EXPECT_EQ(a.subsets, b.subsets);
+  EXPECT_EQ(a.subset_of, b.subset_of);
+  EXPECT_EQ(a.init_support, b.init_support);
+  EXPECT_EQ(a.predicted_costs, b.predicted_costs);
 }
 
 // ---------------------------------------------------------------------------
@@ -86,12 +99,22 @@ TEST(SupportIndexTest, FindBoundMatchesBruteForce) {
     return sc.back().first + 1;
   };
   const auto supports = [&](uint64_t e) { return support[e]; };
+  // The range's predicted cost: alive mass strictly below the bound.
+  const auto mass_below = [&](Count hi) {
+    Count mass = 0;
+    for (uint64_t e = 0; e < n; ++e) {
+      if (alive[e] && support[e] < hi) mass += cost[e];
+    }
+    return mass;
+  };
 
   PeelStats stats;
   for (const Count need : {Count{1}, Count{50}, Count{700}, Count{1800},
                            Count{100000}}) {
-    EXPECT_EQ(index.FindBound(need, supports, &stats), brute(need))
-        << "need " << need;
+    Count predicted = 0;
+    const Count hi = index.FindBound(need, supports, &stats, &predicted);
+    EXPECT_EQ(hi, brute(need)) << "need " << need;
+    EXPECT_EQ(predicted, mass_below(hi)) << "need " << need;
   }
   EXPECT_GT(stats.bound_walk_buckets, 0u);
 
@@ -111,8 +134,10 @@ TEST(SupportIndexTest, FindBoundMatchesBruteForce) {
   }
   for (const Count need : {Count{1}, Count{50}, Count{700}, Count{1800},
                            Count{100000}}) {
-    EXPECT_EQ(index.FindBound(need, supports, &stats), brute(need))
-        << "after mutation, need " << need;
+    Count predicted = 0;
+    const Count hi = index.FindBound(need, supports, &stats, &predicted);
+    EXPECT_EQ(hi, brute(need)) << "after mutation, need " << need;
+    EXPECT_EQ(predicted, mass_below(hi)) << "after mutation, need " << need;
   }
 }
 
@@ -146,16 +171,19 @@ TEST(SupportIndexTest, WideSupportRangeUsesBucketedRefine) {
 }
 
 // ---------------------------------------------------------------------------
-// Indexed vs scan coarse step: RECEIPT CD (tip).
+// Engine vs oracle coarse step: RECEIPT CD (tip).
 // ---------------------------------------------------------------------------
 
 class CoarseIndexTipSweep
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
-TEST_P(CoarseIndexTipSweep, IndexedAndScanPathsAreBitIdentical) {
+TEST_P(CoarseIndexTipSweep, EngineMatchesOracle) {
   const auto [skewed, optimized] = GetParam();
   const BipartiteGraph g = SweepGraph(skewed, skewed ? 311u : 313u);
+  const auto expected =
+      oracle::CoarseRanges(oracle::TipModel(g), /*partitions=*/8);
 
+  PeelStats one_thread;
   for (const int threads : SweepThreads()) {
     TipOptions options;
     options.num_threads = threads;
@@ -163,30 +191,23 @@ TEST_P(CoarseIndexTipSweep, IndexedAndScanPathsAreBitIdentical) {
     options.use_huc = optimized;
     options.use_dgm = optimized;
 
-    options.use_support_index = false;
-    PeelStats scan_stats;
-    const CdResult scan = ReceiptCd(g, options, &scan_stats);
+    PeelStats stats;
+    const CdResult cd = ReceiptCd(g, options, &stats);
+    ExpectOracleRanges(expected, cd);
 
-    options.use_support_index = true;
-    PeelStats indexed_stats;
-    const CdResult indexed = ReceiptCd(g, options, &indexed_stats);
+    // Same peeling structure as the oracle: HUC re-counts change how
+    // supports are refreshed, never what is peeled when. The work done is
+    // a property of the graph, not of the schedule.
+    EXPECT_EQ(stats.sync_rounds, expected.rounds);
+    if (threads == 1) one_thread = stats;
+    EXPECT_EQ(stats.TotalWedges(), one_thread.TotalWedges());
+    EXPECT_EQ(stats.huc_recounts, one_thread.huc_recounts);
 
-    ExpectSameRanges(scan, indexed);
-
-    // The scan fallback must not touch the index; the indexed path must
-    // actually route bound determination through it.
-    EXPECT_EQ(scan_stats.bound_walk_buckets, 0u);
-    EXPECT_EQ(scan_stats.init_patch_elements, 0u);
-    EXPECT_EQ(scan_stats.index_rebuild_elements, 0u);
-    EXPECT_GT(indexed_stats.bound_walk_buckets, 0u);
-    EXPECT_GE(indexed_stats.index_rebuild_elements,
+    // Bound determination is routed through the index.
+    EXPECT_GT(stats.bound_walk_buckets, 0u);
+    EXPECT_GE(stats.index_rebuild_elements,
               static_cast<uint64_t>(g.num_u()));
-
-    // Identical peeling structure: the index changes how bounds and
-    // ⊲⊳init are produced, never what is peeled when.
-    EXPECT_EQ(scan_stats.sync_rounds, indexed_stats.sync_rounds);
-    EXPECT_EQ(scan_stats.TotalWedges(), indexed_stats.TotalWedges());
-    EXPECT_EQ(scan_stats.huc_recounts, indexed_stats.huc_recounts);
+    EXPECT_GE(stats.index_build_rounds, stats.num_subsets);
   }
 }
 
@@ -194,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CoarseIndexTipSweep,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Bool()));
 
-// Thread-count invariance of the indexed path itself (the delta lists are
+// Thread-count invariance of the engine itself (the delta lists are
 // schedule-dependent; the results must not be).
 TEST(CoarseIndexTipTest, IndexedPathIsThreadCountInvariant) {
   const BipartiteGraph g = SweepGraph(/*skewed=*/true, 317u);
@@ -212,39 +233,30 @@ TEST(CoarseIndexTipTest, IndexedPathIsThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Indexed vs scan coarse step: RECEIPT-W (wing).
+// Engine vs oracle coarse step: RECEIPT-W (wing).
 // ---------------------------------------------------------------------------
 
 class CoarseIndexWingSweep : public ::testing::TestWithParam<bool> {};
 
-TEST_P(CoarseIndexWingSweep, IndexedAndScanPathsAreBitIdentical) {
+TEST_P(CoarseIndexWingSweep, EngineMatchesOracle) {
   const bool skewed = GetParam();
   const BipartiteGraph g = skewed
                                ? ChungLuBipartite(70, 50, 320, 0.7, 0.7, 331)
                                : RandomBipartite(70, 50, 320, 337);
+  const oracle::WingModel model(g);
 
-  for (const int threads : SweepThreads()) {
-    for (const int partitions : {2, 5}) {
+  for (const int partitions : {2, 5}) {
+    const auto expected = oracle::CoarseRanges(model, partitions);
+    for (const int threads : SweepThreads()) {
       ReceiptWingOptions options;
       options.num_threads = threads;
       options.num_partitions = partitions;
 
-      options.use_support_index = false;
-      PeelStats scan_stats;
-      const auto scan = ReceiptWingCoarse(g, options, &scan_stats);
-
-      options.use_support_index = true;
-      PeelStats indexed_stats;
-      const auto indexed = ReceiptWingCoarse(g, options, &indexed_stats);
-
-      EXPECT_EQ(scan.bounds, indexed.bounds);
-      EXPECT_EQ(scan.subsets, indexed.subsets);
-      EXPECT_EQ(scan.subset_of, indexed.subset_of);
-      EXPECT_EQ(scan.init_support, indexed.init_support);
-      EXPECT_EQ(scan.predicted_costs, indexed.predicted_costs);
-      EXPECT_EQ(scan_stats.bound_walk_buckets, 0u);
-      EXPECT_GT(indexed_stats.bound_walk_buckets, 0u);
-      EXPECT_EQ(scan_stats.sync_rounds, indexed_stats.sync_rounds);
+      PeelStats stats;
+      const auto coarse = ReceiptWingCoarse(g, options, &stats);
+      ExpectOracleRanges(expected, coarse);
+      EXPECT_EQ(stats.sync_rounds, expected.rounds);
+      EXPECT_GT(stats.bound_walk_buckets, 0u);
     }
   }
 }
@@ -252,27 +264,26 @@ TEST_P(CoarseIndexWingSweep, IndexedAndScanPathsAreBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Sweep, CoarseIndexWingSweep, ::testing::Bool());
 
 // ---------------------------------------------------------------------------
-// End-to-end: the coarse path choice never changes final numbers.
+// End-to-end: the rebuild-direction rule never changes final numbers.
 // ---------------------------------------------------------------------------
+
+constexpr FrontierSwitch kAllSwitches[] = {
+    FrontierSwitch::kFixedDensity, FrontierSwitch::kMeasuredCost,
+    FrontierSwitch::kScanOnly, FrontierSwitch::kFrontierOnly};
 
 TEST(CoarseIndexEndToEndTest, TipNumbersMatchBupUnderEveryPath) {
   const BipartiteGraph g = SweepGraph(/*skewed=*/true, 347u);
   TipOptions bup_options;
   const TipResult bup = BupDecompose(g, bup_options);
 
-  for (const bool use_index : {false, true}) {
-    for (const auto frontier_switch :
-         {FrontierSwitch::kFixedDensity, FrontierSwitch::kMeasuredCost}) {
-      TipOptions options;
-      options.num_threads = 3;
-      options.num_partitions = 7;
-      options.use_support_index = use_index;
-      options.frontier_switch = frontier_switch;
-      const TipResult r = ReceiptDecompose(g, options);
-      EXPECT_EQ(r.tip_numbers, bup.tip_numbers)
-          << "use_index " << use_index << " measured "
-          << (frontier_switch == FrontierSwitch::kMeasuredCost);
-    }
+  for (const FrontierSwitch frontier_switch : kAllSwitches) {
+    TipOptions options;
+    options.num_threads = 3;
+    options.num_partitions = 7;
+    options.frontier_switch = frontier_switch;
+    const TipResult r = ReceiptDecompose(g, options);
+    EXPECT_EQ(r.tip_numbers, bup.tip_numbers)
+        << "switch " << static_cast<int>(frontier_switch);
   }
 }
 
@@ -280,19 +291,14 @@ TEST(CoarseIndexEndToEndTest, WingNumbersMatchSequentialUnderEveryPath) {
   const BipartiteGraph g = ChungLuBipartite(40, 30, 170, 0.6, 0.6, 353);
   const WingResult sequential = WingDecompose(g, /*num_threads=*/1);
 
-  for (const bool use_index : {false, true}) {
-    for (const auto frontier_switch :
-         {FrontierSwitch::kFixedDensity, FrontierSwitch::kMeasuredCost}) {
-      ReceiptWingOptions options;
-      options.num_threads = 2;
-      options.num_partitions = 4;
-      options.use_support_index = use_index;
-      options.frontier_switch = frontier_switch;
-      const WingResult r = ReceiptWingDecompose(g, options);
-      EXPECT_EQ(r.wing_numbers, sequential.wing_numbers)
-          << "use_index " << use_index << " measured "
-          << (frontier_switch == FrontierSwitch::kMeasuredCost);
-    }
+  for (const FrontierSwitch frontier_switch : kAllSwitches) {
+    ReceiptWingOptions options;
+    options.num_threads = 2;
+    options.num_partitions = 4;
+    options.frontier_switch = frontier_switch;
+    const WingResult r = ReceiptWingDecompose(g, options);
+    EXPECT_EQ(r.wing_numbers, sequential.wing_numbers)
+        << "switch " << static_cast<int>(frontier_switch);
   }
 }
 

@@ -19,6 +19,10 @@
 namespace receipt {
 namespace {
 
+constexpr FrontierSwitch kAllSwitches[] = {
+    FrontierSwitch::kFixedDensity, FrontierSwitch::kMeasuredCost,
+    FrontierSwitch::kScanOnly, FrontierSwitch::kFrontierOnly};
+
 class TipEngineSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, uint32_t>> {};
 
@@ -42,22 +46,21 @@ TEST_P(TipEngineSweep, AllTipAlgorithmsAgree) {
 
     for (const int partitions : {1, 5}) {
       for (const bool optimized : {false, true}) {
-        // Sweep the frontier-density threshold across both forced rebuild
-        // directions and the hybrid default: tip numbers must not depend
+        // Sweep every rebuild-direction rule: tip numbers must not depend
         // on how the engine rebuilds its active sets.
-        for (const double threshold : {0.0, kDefaultFrontierDensity, 2.0}) {
+        for (const FrontierSwitch frontier_switch : kAllSwitches) {
           TipOptions receipt_options;
           receipt_options.side = side;
           receipt_options.num_threads = 2;
           receipt_options.num_partitions = partitions;
           receipt_options.use_huc = optimized;
           receipt_options.use_dgm = optimized;
-          receipt_options.frontier_density_threshold = threshold;
+          receipt_options.frontier_switch = frontier_switch;
           const TipResult receipt = ReceiptDecompose(g, receipt_options);
           EXPECT_EQ(receipt.tip_numbers, bup.tip_numbers)
               << "RECEIPT vs BUP, side " << SideName(side) << ", P="
-              << partitions << ", opt=" << optimized << ", threshold="
-              << threshold << ", seed " << seed;
+              << partitions << ", opt=" << optimized << ", switch="
+              << static_cast<int>(frontier_switch) << ", seed " << seed;
         }
       }
     }
@@ -84,15 +87,15 @@ TEST_P(WingEngineSweep, SequentialAndReceiptWingAgree) {
 
   for (const int partitions : {1, 4}) {
     for (const int threads : {1, 3}) {
-      for (const double threshold : {0.0, kDefaultFrontierDensity, 2.0}) {
+      for (const FrontierSwitch frontier_switch : kAllSwitches) {
         ReceiptWingOptions options;
         options.num_threads = threads;
         options.num_partitions = partitions;
-        options.frontier_density_threshold = threshold;
+        options.frontier_switch = frontier_switch;
         const WingResult parallel = ReceiptWingDecompose(g, options);
         EXPECT_EQ(parallel.wing_numbers, sequential.wing_numbers)
-            << "P=" << partitions << ", T=" << threads << ", threshold="
-            << threshold << ", seed " << seed;
+            << "P=" << partitions << ", T=" << threads << ", switch="
+            << static_cast<int>(frontier_switch) << ", seed " << seed;
       }
     }
   }

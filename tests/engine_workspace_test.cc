@@ -1,6 +1,6 @@
 // Tests for the engine layer's reusable workspaces: allocation happens once
 // per decomposition, scratch state is clean between kernel invocations and
-// partitions, and the shared services (FindRangeBound, GraphMaintenance)
+// partitions, and the shared services (findHi, GraphMaintenance)
 // behave at their edges.
 
 #include <gtest/gtest.h>
@@ -197,22 +197,27 @@ TEST(WorkspaceTest, WingFineStepBuffersStableWhenWarm) {
   EXPECT_EQ(wing_footprint(), footprint_warm);
 }
 
+/// findHi as the coarse step calls it for a double target.
+Count BoundAt(std::vector<std::pair<Count, Count>>& sc, double target) {
+  return engine::FindRangeBoundNeed(sc, engine::RangeCostNeed(target));
+}
+
 TEST(FindRangeBoundTest, EmptyInputAbsorbsEverything) {
   // Satellite requirement: findHi must not dereference .back() of an empty
   // vector; an empty input yields the unbounded range.
   std::vector<std::pair<Count, Count>> empty;
-  EXPECT_EQ(engine::FindRangeBound(empty, 10.0), kInvalidCount);
+  EXPECT_EQ(BoundAt(empty, 10.0), kInvalidCount);
 }
 
 TEST(FindRangeBoundTest, ReturnsExclusiveBoundAtTarget) {
   std::vector<std::pair<Count, Count>> sc = {{5, 10}, {1, 10}, {3, 10}};
   // Sorted by support: 1 (mass 10), 3 (20), 5 (30).
-  EXPECT_EQ(engine::FindRangeBound(sc, 10.0), 2u);
+  EXPECT_EQ(BoundAt(sc, 10.0), 2u);
   sc = {{5, 10}, {1, 10}, {3, 10}};
-  EXPECT_EQ(engine::FindRangeBound(sc, 15.0), 4u);
+  EXPECT_EQ(BoundAt(sc, 15.0), 4u);
   sc = {{5, 10}, {1, 10}, {3, 10}};
   // Mass below target: falls back to max support + 1.
-  EXPECT_EQ(engine::FindRangeBound(sc, 1000.0), 6u);
+  EXPECT_EQ(BoundAt(sc, 1000.0), 6u);
 }
 
 TEST(GraphMaintenanceTest, RecountDisabledWithoutHuc) {

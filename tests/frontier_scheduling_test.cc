@@ -23,13 +23,6 @@
 namespace receipt {
 namespace {
 
-// Force one rebuild direction: ≤ 0 = always scan, > 1 = always frontier.
-// Forcing only works under the fixed-density switch — the measured-cost
-// default consults the EWMA cost gauges first — so every direction-forcing
-// run below pins FrontierSwitch::kFixedDensity.
-constexpr double kScanOnly = 0.0;
-constexpr double kFrontierOnly = 2.0;
-
 TEST(FrontierEpochsTest, ClaimsOncePerRound) {
   engine::FrontierEpochs epochs;
   epochs.Reset(8);
@@ -68,23 +61,28 @@ TEST_P(FrontierTipSweep, DirectionsAreBitIdentical) {
         options.num_partitions = partitions;
         options.use_huc = optimized;
         options.use_dgm = optimized;
-        options.frontier_switch = FrontierSwitch::kFixedDensity;
 
-        options.frontier_density_threshold = kScanOnly;
+        options.frontier_switch = FrontierSwitch::kScanOnly;
         const TipResult scan = ReceiptDecompose(g, options);
-        options.frontier_density_threshold = kFrontierOnly;
+        options.frontier_switch = FrontierSwitch::kFrontierOnly;
         const TipResult frontier = ReceiptDecompose(g, options);
-        options.frontier_density_threshold = kDefaultFrontierDensity;
+        options.frontier_switch = FrontierSwitch::kFixedDensity;
         const TipResult hybrid = ReceiptDecompose(g, options);
+        options.frontier_switch = FrontierSwitch::kMeasuredCost;
+        const TipResult measured = ReceiptDecompose(g, options);
 
         // Bit-identical coarse artifacts, not just final numbers.
         EXPECT_EQ(scan.tip_numbers, bup.tip_numbers);
         EXPECT_EQ(frontier.tip_numbers, scan.tip_numbers);
         EXPECT_EQ(hybrid.tip_numbers, scan.tip_numbers);
+        EXPECT_EQ(measured.tip_numbers, scan.tip_numbers);
         EXPECT_EQ(frontier.subsets, scan.subsets);
         EXPECT_EQ(hybrid.subsets, scan.subsets);
+        EXPECT_EQ(measured.subsets, scan.subsets);
         EXPECT_EQ(frontier.range_bounds, scan.range_bounds);
+        EXPECT_EQ(measured.range_bounds, scan.range_bounds);
         EXPECT_EQ(frontier.subset_of, scan.subset_of);
+        EXPECT_EQ(measured.subset_of, scan.subset_of);
 
         // Identical peeling structure: the direction changes how active
         // sets are rebuilt, never what they contain.
@@ -92,8 +90,8 @@ TEST_P(FrontierTipSweep, DirectionsAreBitIdentical) {
         EXPECT_EQ(frontier.stats.TotalWedges(), scan.stats.TotalWedges());
 
         // The counters report the direction that actually ran. Initial
-        // active sets come from the SupportIndex member lists (the default),
-        // so forced-frontier runs perform no scans at all.
+        // active sets come from the SupportIndex member lists, so
+        // forced-frontier runs perform no scans at all.
         EXPECT_EQ(scan.stats.frontier_rounds, 0u);
         EXPECT_GT(scan.stats.scan_rounds, 0u);
         // One index build per range, plus one per HUC-forced full rebuild.
@@ -140,18 +138,20 @@ TEST_P(FrontierWingSweep, DirectionsAreBitIdentical) {
       ReceiptWingOptions options;
       options.num_threads = threads;
       options.num_partitions = partitions;
-      options.frontier_switch = FrontierSwitch::kFixedDensity;
 
-      options.frontier_density_threshold = kScanOnly;
+      options.frontier_switch = FrontierSwitch::kScanOnly;
       const WingResult scan = ReceiptWingDecompose(g, options);
-      options.frontier_density_threshold = kFrontierOnly;
+      options.frontier_switch = FrontierSwitch::kFrontierOnly;
       const WingResult frontier = ReceiptWingDecompose(g, options);
-      options.frontier_density_threshold = kDefaultFrontierDensity;
+      options.frontier_switch = FrontierSwitch::kFixedDensity;
       const WingResult hybrid = ReceiptWingDecompose(g, options);
+      options.frontier_switch = FrontierSwitch::kMeasuredCost;
+      const WingResult measured = ReceiptWingDecompose(g, options);
 
       EXPECT_EQ(scan.wing_numbers, sequential.wing_numbers);
       EXPECT_EQ(frontier.wing_numbers, sequential.wing_numbers);
       EXPECT_EQ(hybrid.wing_numbers, sequential.wing_numbers);
+      EXPECT_EQ(measured.wing_numbers, sequential.wing_numbers);
       EXPECT_EQ(frontier.stats.sync_rounds, scan.stats.sync_rounds);
       EXPECT_EQ(frontier.stats.num_subsets, scan.stats.num_subsets);
 
@@ -190,15 +190,15 @@ TEST(FrontierRegressionTest, MultiDecrementVertexEntersActiveSetOnce) {
   TipOptions bup_options;
   const TipResult bup = BupDecompose(g, bup_options);
 
-  for (const double threshold : {kScanOnly, kFrontierOnly}) {
+  for (const FrontierSwitch frontier_switch :
+       {FrontierSwitch::kScanOnly, FrontierSwitch::kFrontierOnly}) {
     for (const int threads : {1, 3}) {
       TipOptions options;
       options.num_threads = threads;
       options.num_partitions = 2;
       options.use_huc = false;
       options.use_dgm = false;
-      options.frontier_switch = FrontierSwitch::kFixedDensity;
-      options.frontier_density_threshold = threshold;
+      options.frontier_switch = frontier_switch;
       const TipResult r = ReceiptDecompose(g, options);
 
       // Subsets partition U exactly: every vertex peeled exactly once.
@@ -211,7 +211,8 @@ TEST(FrontierRegressionTest, MultiDecrementVertexEntersActiveSetOnce) {
       std::vector<VertexId> expected(g.num_u());
       std::iota(expected.begin(), expected.end(), 0);
       EXPECT_EQ(peeled, expected)
-          << "threshold " << threshold << ", threads " << threads;
+          << "switch " << static_cast<int>(frontier_switch) << ", threads "
+          << threads;
       EXPECT_EQ(r.tip_numbers, bup.tip_numbers);
     }
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -18,6 +19,7 @@
 #endif
 
 #include "engine/cost_model.h"
+#include "engine/support_index.h"
 #include "engine/topology.h"
 #include "graph/generators.h"
 #include "service/decomposition_service.h"
@@ -261,14 +263,31 @@ TEST(CostModelTest, LptWithinGrahamBoundOfBruteForce) {
   }
 }
 
-TEST(CostModelTest, CostMassBelowSumsStrictlyBelow) {
-  const std::vector<std::pair<Count, Count>> entries = {
-      {0, 5}, {3, 7}, {10, 1}};
-  EXPECT_EQ(engine::CostMassBelow(entries, 0), 0u);
-  EXPECT_EQ(engine::CostMassBelow(entries, 1), 5u);
-  EXPECT_EQ(engine::CostMassBelow(entries, 4), 12u);
-  EXPECT_EQ(engine::CostMassBelow(entries, 10), 12u);  // strict: 10 ≮ 10
-  EXPECT_EQ(engine::CostMassBelow(entries, 11), 13u);
+TEST(CostModelTest, PredictedRangeCostSumsStrictlyBelowBound) {
+  // The LPT assigner's per-range input is SupportIndex::FindBound's
+  // predicted cost. (support, cost) = (0, 5), (3, 7), (4, 2), (10, 1): the
+  // entity at support 4 sits exactly on the bound need 6 opens, so it must
+  // stay out of that range's predicted cost.
+  const std::vector<Count> support = {0, 3, 4, 10};
+  const std::vector<Count> cost = {5, 7, 2, 1};
+  engine::SupportIndex index;
+  index.Rebuild(
+      support.size(), [](uint64_t) { return true; },
+      [&](uint64_t e) { return support[e]; }, cost);
+  const auto supports = [&](uint64_t e) { return support[e]; };
+
+  PeelStats stats;
+  const auto bound_and_cost = [&](Count need) {
+    Count predicted = 0;
+    const Count hi = index.FindBound(need, supports, &stats, &predicted);
+    return std::pair<Count, Count>{hi, predicted};
+  };
+  EXPECT_EQ(bound_and_cost(1), (std::pair<Count, Count>{1, 5}));
+  EXPECT_EQ(bound_and_cost(6), (std::pair<Count, Count>{4, 12}));  // 4 ≮ 4
+  EXPECT_EQ(bound_and_cost(13), (std::pair<Count, Count>{5, 14}));
+  EXPECT_EQ(bound_and_cost(15), (std::pair<Count, Count>{11, 15}));
+  // Total mass short of the need: max support + 1 and the whole mass.
+  EXPECT_EQ(bound_and_cost(100), (std::pair<Count, Count>{11, 15}));
 }
 
 // ---------------------------------------------------------------------------
@@ -315,15 +334,6 @@ TEST(PlacementDeterminismTest, ResultsInvariantAcrossPlacementKnobs) {
     }
   }
 
-  // Turning the workload-aware scheduler off entirely is also invariant.
-  TipOptions unscheduled;
-  unscheduled.num_threads = 4;
-  unscheduled.num_partitions = 8;
-  unscheduled.placement_nodes = 4;
-  unscheduled.workload_aware_scheduling = false;
-  const TipResult result = ReceiptDecompose(graph, unscheduled);
-  EXPECT_EQ(result.tip_numbers, reference.tip_numbers);
-  EXPECT_EQ(result.subsets, reference.subsets);
 }
 
 TEST(PlacementDeterminismTest, ForcedNodesPopulatePlacementStats) {

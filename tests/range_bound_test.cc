@@ -1,7 +1,8 @@
-// FindRangeBound (findHi, Alg. 3 lines 16-21) after the selection rewrite:
-// quickselect-style partial selection must return exactly what the legacy
-// full-sort implementation returned — including at ties, at the
-// total-mass-below-target fallback, and for fractional double targets.
+// findHi (Alg. 3 lines 16-21) after the selection rewrite: quickselect-style
+// partial selection (FindRangeBoundNeed over RangeCostNeed's integer need)
+// must return exactly what a full-sort implementation returns — including
+// at ties, at the total-mass-below-target fallback, and for fractional
+// double targets.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,12 @@ namespace {
 
 using SupportCost = std::vector<std::pair<Count, Count>>;
 
-/// The pre-rewrite reference: full sort + double cumulative walk.
+/// The coarse step's bound for a double target.
+Count BoundAt(SupportCost& sc, double target) {
+  return engine::FindRangeBoundNeed(sc, engine::RangeCostNeed(target));
+}
+
+/// Reference: full sort + double cumulative walk.
 Count ReferenceBound(SupportCost sc, double target) {
   if (sc.empty()) return kInvalidCount;
   std::sort(sc.begin(), sc.end());
@@ -36,15 +42,15 @@ TEST(RangeBoundSelectionTest, TieBreakingAtEqualSupportValues) {
   // must not depend on the order of equal-support entries.
   const SupportCost base = {{5, 3}, {5, 3}, {5, 3}, {2, 1}};
   SupportCost sc = base;
-  EXPECT_EQ(engine::FindRangeBound(sc, 4.0), 6u);
+  EXPECT_EQ(BoundAt(sc, 4.0), 6u);
   // Crossing exactly at the first tied entry, and past the last one.
   sc = base;
-  EXPECT_EQ(engine::FindRangeBound(sc, 2.0), 6u);
+  EXPECT_EQ(BoundAt(sc, 2.0), 6u);
   sc = base;
-  EXPECT_EQ(engine::FindRangeBound(sc, 10.0), 6u);
+  EXPECT_EQ(BoundAt(sc, 10.0), 6u);
   // Below the tie block entirely.
   sc = base;
-  EXPECT_EQ(engine::FindRangeBound(sc, 1.0), 3u);
+  EXPECT_EQ(BoundAt(sc, 1.0), 3u);
 
   // Every permutation of a tie-heavy input yields the same bound.
   SupportCost perm = {{7, 2}, {7, 5}, {3, 1}, {7, 2}, {3, 4}, {9, 1}};
@@ -52,7 +58,7 @@ TEST(RangeBoundSelectionTest, TieBreakingAtEqualSupportValues) {
   do {
     for (const double target : {1.0, 4.0, 5.0, 6.0, 14.0, 15.0, 100.0}) {
       SupportCost copy = perm;
-      EXPECT_EQ(engine::FindRangeBound(copy, target),
+      EXPECT_EQ(BoundAt(copy, target),
                 ReferenceBound(perm, target))
           << "target " << target;
     }
@@ -78,7 +84,7 @@ TEST(RangeBoundSelectionTest, MatchesReferenceOnRandomInputs) {
           static_cast<double>(total) / 2.0, static_cast<double>(total),
           static_cast<double>(total) + 5.0}) {
       SupportCost copy = sc;
-      EXPECT_EQ(engine::FindRangeBound(copy, target),
+      EXPECT_EQ(BoundAt(copy, target),
                 ReferenceBound(sc, target))
           << "trial " << trial << " target " << target;
     }
@@ -97,32 +103,32 @@ TEST(RangeBoundSelectionTest, EarlyTargetTouchesOnlyLowPartitions) {
   }
   sc[4999] = {3, 2};  // unique minimum, at the end of the array
   SupportCost copy = sc;
-  EXPECT_EQ(engine::FindRangeBound(copy, 1.0), 4u);
+  EXPECT_EQ(BoundAt(copy, 1.0), 4u);
 }
 
 TEST(RangeBoundSelectionTest, IntegerNeedMatchesDoubleTarget) {
-  // FindRangeBoundNeed is the shared core (legacy path and SupportIndex
-  // refine): ceil-converted double targets must agree with integer needs.
+  // RangeCostNeed is the one double → integer conversion: the ceiling,
+  // clamped to ≥ 1, so an integer cumulative cost crosses the double
+  // target exactly when it reaches the need.
   const SupportCost base = {{4, 3}, {1, 2}, {9, 6}, {4, 1}};
   for (const double target : {0.2, 1.0, 2.0, 2.1, 5.0, 5.9, 6.0, 11.5}) {
-    SupportCost a = base;
-    SupportCost b = base;
     const Count need =
         target <= 1.0 ? 1 : static_cast<Count>(std::ceil(target));
-    EXPECT_EQ(engine::FindRangeBound(a, target),
-              engine::FindRangeBoundNeed(b, need))
+    EXPECT_EQ(engine::RangeCostNeed(target), need) << "target " << target;
+    SupportCost a = base;
+    EXPECT_EQ(BoundAt(a, target), ReferenceBound(base, target))
         << "target " << target;
   }
 }
 
 TEST(RangeBoundSelectionTest, EmptyAndDegenerate) {
   SupportCost empty;
-  EXPECT_EQ(engine::FindRangeBound(empty, 10.0), kInvalidCount);
+  EXPECT_EQ(BoundAt(empty, 10.0), kInvalidCount);
   EXPECT_EQ(engine::FindRangeBoundNeed(empty, 1), kInvalidCount);
   SupportCost one = {{17, 4}};
-  EXPECT_EQ(engine::FindRangeBound(one, 4.0), 18u);
+  EXPECT_EQ(BoundAt(one, 4.0), 18u);
   one = {{17, 4}};
-  EXPECT_EQ(engine::FindRangeBound(one, 5.0), 18u);  // short mass → max+1
+  EXPECT_EQ(BoundAt(one, 5.0), 18u);  // short mass → max+1
 }
 
 }  // namespace

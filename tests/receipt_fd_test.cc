@@ -15,13 +15,15 @@ namespace receipt {
 namespace {
 
 TipOptions Options(int partitions, int threads, bool huc = true,
-                   bool dgm = true, bool was = true) {
+                   bool dgm = true,
+                   engine::PlacementAssign assign =
+                       engine::PlacementAssign::kCostLpt) {
   TipOptions options;
   options.num_partitions = partitions;
   options.num_threads = threads;
   options.use_huc = huc;
   options.use_dgm = dgm;
-  options.workload_aware_scheduling = was;
+  options.fd_assignment = assign;
   return options;
 }
 
@@ -45,10 +47,11 @@ TEST(ReceiptFdTest, ExactTipNumbers) {
 TEST(ReceiptFdTest, SchedulingFlagDoesNotChangeResults) {
   const BipartiteGraph g = ChungLuBipartite(200, 120, 900, 0.7, 0.5, 113);
   PeelStats s1, s2;
-  const std::vector<Count> with_was = RunFd(g, Options(10, 3, true, true,
-                                                       true), &s1);
-  const std::vector<Count> without_was = RunFd(g, Options(10, 3, true, true,
-                                                          false), &s2);
+  const std::vector<Count> with_was = RunFd(
+      g, Options(10, 3, true, true, engine::PlacementAssign::kCostLpt), &s1);
+  const std::vector<Count> without_was = RunFd(
+      g, Options(10, 3, true, true, engine::PlacementAssign::kRoundRobin),
+      &s2);
   EXPECT_EQ(with_was, without_was);
 }
 
