@@ -1,8 +1,10 @@
 // Implementation ablation from §5.1: "In RECEIPT FD and sequential BUP, we
 // use a k-way min-heap for efficient retrieval of minimum support vertices.
 // We found it to be faster in practice than the bucketing structure of [51]
-// or fibonacci heaps." This bench times BUP and RECEIPT with all three
-// extraction backends (4-ary lazy heap / Julienne buckets / pairing heap).
+// or fibonacci heaps." This bench times BUP and RECEIPT FD with all three
+// extraction backends (4-ary lazy heap / Julienne buckets / pairing heap)
+// and prints the measured winner per target, so the claim is checked here
+// rather than quoted.
 
 #include <benchmark/benchmark.h>
 
@@ -12,18 +14,6 @@
 
 namespace receipt::bench {
 namespace {
-
-const char* KindName(MinExtraction kind) {
-  switch (kind) {
-    case MinExtraction::kDAryHeap:
-      return "4ary_heap";
-    case MinExtraction::kBucketQueue:
-      return "buckets";
-    case MinExtraction::kPairingHeap:
-      return "pairing";
-  }
-  return "?";
-}
 
 struct Cell {
   double t_bup = 0;
@@ -54,32 +44,50 @@ void Ablation(benchmark::State& state, const Target& target,
   Rows()[target.label][kind] = cell;
 }
 
+/// The backend with the smallest time in `cells` under `time_of`.
+template <typename TimeOf>
+MinExtraction Fastest(const std::map<MinExtraction, Cell>& cells,
+                      TimeOf&& time_of) {
+  MinExtraction best = kAllExtractions[0];
+  for (const MinExtraction kind : kAllExtractions) {
+    if (time_of(cells.at(kind)) < time_of(cells.at(best))) best = kind;
+  }
+  return best;
+}
+
 void PrintTable() {
   PrintHeader(
       "Extraction-structure ablation (§5.1): BUP total / RECEIPT FD time "
       "per backend");
   std::printf("%-5s |", "tgt");
-  for (const MinExtraction kind :
-       {MinExtraction::kDAryHeap, MinExtraction::kBucketQueue,
-        MinExtraction::kPairingHeap}) {
-    std::printf(" %10s-BUP %10s-FD |", KindName(kind), KindName(kind));
+  for (const MinExtraction kind : kAllExtractions) {
+    std::printf(" %10s-BUP %10s-FD |", ExtractionName(kind),
+                ExtractionName(kind));
   }
-  std::printf("\n");
+  std::printf(" %-10s %-10s\n", "win-BUP", "win-FD");
   PrintRule();
+  size_t heap_wins_bup = 0;
+  size_t heap_wins_fd = 0;
   for (const auto& [label, cells] : Rows()) {
     std::printf("%-5s |", label.c_str());
-    for (const MinExtraction kind :
-         {MinExtraction::kDAryHeap, MinExtraction::kBucketQueue,
-          MinExtraction::kPairingHeap}) {
+    for (const MinExtraction kind : kAllExtractions) {
       const Cell& c = cells.at(kind);
       std::printf(" %14.3f %13.3f |", c.t_bup, c.t_receipt_fd);
     }
-    std::printf("\n");
+    const MinExtraction win_bup =
+        Fastest(cells, [](const Cell& c) { return c.t_bup; });
+    const MinExtraction win_fd =
+        Fastest(cells, [](const Cell& c) { return c.t_receipt_fd; });
+    heap_wins_bup += win_bup == MinExtraction::kDAryHeap ? 1 : 0;
+    heap_wins_fd += win_fd == MinExtraction::kDAryHeap ? 1 : 0;
+    std::printf(" %-10s %-10s\n", ExtractionName(win_bup),
+                ExtractionName(win_fd));
   }
   PrintRule();
   std::printf(
-      "paper claim: the k-way min-heap outperforms bucketing and "
-      "fibonacci-class heaps for this access pattern.\n\n");
+      "measured: the 4-ary heap is fastest on %zu/%zu targets for BUP and "
+      "%zu/%zu for RECEIPT FD (paper §5.1 claims it wins everywhere).\n\n",
+      heap_wins_bup, Rows().size(), heap_wins_fd, Rows().size());
 }
 
 }  // namespace
@@ -89,12 +97,10 @@ int main(int argc, char** argv) {
   for (const receipt::bench::Target& target : receipt::bench::AllTargets()) {
     if (target.side != receipt::Side::kU) continue;  // the expensive sides
     for (const receipt::MinExtraction kind :
-         {receipt::MinExtraction::kDAryHeap,
-          receipt::MinExtraction::kBucketQueue,
-          receipt::MinExtraction::kPairingHeap}) {
+         receipt::bench::kAllExtractions) {
       benchmark::RegisterBenchmark(
           ("Extraction/" + target.label + "/" +
-           receipt::bench::KindName(kind))
+           receipt::bench::ExtractionName(kind))
               .c_str(),
           [target, kind](benchmark::State& state) {
             receipt::bench::Ablation(state, target, kind);

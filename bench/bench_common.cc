@@ -42,6 +42,18 @@ std::vector<Target> AllTargets() {
 
 int DefaultThreads() { return EnvOrDefault("RECEIPT_BENCH_THREADS", 4); }
 
+const char* ExtractionName(MinExtraction kind) {
+  switch (kind) {
+    case MinExtraction::kDAryHeap:
+      return "4ary_heap";
+    case MinExtraction::kBucketQueue:
+      return "buckets";
+    case MinExtraction::kPairingHeap:
+      return "pairing";
+  }
+  return "?";
+}
+
 int DefaultPartitions() {
   return EnvOrDefault("RECEIPT_BENCH_PARTITIONS", 30);
 }

@@ -33,10 +33,19 @@ struct Target {
 /// All 12 targets in Table 2/3 column order.
 std::vector<Target> AllTargets();
 
-/// Thread count for "parallel" bench configurations. Defaults to 4
-/// (oversubscribed on this single-core container — see EXPERIMENTS.md);
-/// override with the RECEIPT_BENCH_THREADS environment variable.
+/// Thread count for "parallel" bench configurations. Defaults to 4;
+/// override with the RECEIPT_BENCH_THREADS environment variable. Run with
+/// no more threads than the machine has cores when the times matter.
 int DefaultThreads();
+
+/// The min-extraction backends of the §5.1 ablation, the paper's 4-ary
+/// heap first.
+inline constexpr MinExtraction kAllExtractions[] = {
+    MinExtraction::kDAryHeap, MinExtraction::kBucketQueue,
+    MinExtraction::kPairingHeap};
+
+/// Short backend name for tables: "4ary_heap", "buckets", "pairing".
+const char* ExtractionName(MinExtraction kind);
 
 /// Default partition count (the paper's P = 150 is tuned for graphs with
 /// 10^5-10^8 wedge-heavy vertices; our scaled analogues use 30 unless a

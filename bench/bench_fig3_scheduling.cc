@@ -87,7 +87,7 @@ void DatasetScheduling(benchmark::State& state, const Target& target) {
     ReceiptFd(g, cd, options, tips, &fd_stats_naive);
     row.fd_naive = fd_stats_naive.seconds_fd;
     // Deterministic makespan model on the real subset workloads (immune to
-    // the single-core timing noise).
+    // wall-clock timing noise).
     const std::vector<Count> wedges = ComputeSubsetWedgeCounts(
         g, cd.subset_of, static_cast<uint32_t>(cd.subsets.size()),
         options.num_threads);

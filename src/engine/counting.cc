@@ -15,20 +15,17 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
   if (!graph.IsAlive(sp)) return;
   const VertexId sp_rank = graph.Rank(sp);
   ws.touched.clear();
-  ws.wedge_pairs.clear();
 
   for (const VertexId mp : graph.Neighbors(sp)) {
     if (!graph.IsAlive(mp)) continue;
-    const VertexId mp_rank = graph.Rank(mp);
+    // Neighbors are sorted by ascending rank, so the first endpoint that
+    // fails the priority rule ends this wedge group (Alg. 1 line 10).
+    const VertexId bound = std::min(graph.Rank(mp), sp_rank);
     for (const VertexId ep : graph.Neighbors(mp)) {
-      // Neighbors are sorted by ascending rank, so the first endpoint that
-      // fails the priority rule ends this wedge group (Alg. 1 line 10).
-      const VertexId ep_rank = graph.Rank(ep);
-      if (ep_rank >= mp_rank || ep_rank >= sp_rank) break;
+      if (graph.Rank(ep) >= bound) break;
       ++ws.wedges_traversed;
       if (!graph.IsAlive(ep)) continue;  // uncompacted dead entry
       if (ws.wedge_count[ep]++ == 0) ws.touched.push_back(ep);
-      ws.wedge_pairs.emplace_back(mp, ep);
     }
   }
 
@@ -46,17 +43,24 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
 
   // Opposite-side contribution: a wedge (sp, mp, ep) participates in
   // (wedge_count[ep] - 1) butterflies, all incident on its mid point.
-  for (const auto& [mp, ep] : ws.wedge_pairs) {
-    const Count bcnt = static_cast<Count>(ws.wedge_count[ep] - 1);
-    if (bcnt > 0) AtomicAdd(&support[mp], bcnt);
+  // Re-walking each mid point's rank-bounded prefix sums them, so a mid
+  // point takes one atomic per (sp, mp) pair rather than one per wedge.
+  for (const VertexId mp : graph.Neighbors(sp)) {
+    if (!graph.IsAlive(mp)) continue;
+    const VertexId bound = std::min(graph.Rank(mp), sp_rank);
+    Count mp_total = 0;
+    for (const VertexId ep : graph.Neighbors(mp)) {
+      if (graph.Rank(ep) >= bound) break;
+      if (graph.IsAlive(ep)) mp_total += ws.wedge_count[ep] - 1;
+    }
+    if (mp_total > 0) AtomicAdd(&support[mp], mp_total);
   }
 
   // Restore the workspace's clean-state invariant (dense array zeroed,
-  // transient lists drained) so scratch inspection between kernels is
+  // touched list drained) so scratch inspection between kernels is
   // meaningful.
   for (const VertexId ep : ws.touched) ws.wedge_count[ep] = 0;
   ws.touched.clear();
-  ws.wedge_pairs.clear();
 }
 
 }  // namespace

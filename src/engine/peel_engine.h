@@ -849,7 +849,7 @@ class RangeDecomposer {
             // Hybrid Update Computation (§4.1): this round's peeling
             // would traverse more wedges than a full re-count.
             ++stats->huc_recounts;
-            maintenance_->BeginRecount(num_threads_);
+            maintenance_->BeginRecount();
             stats->wedges_cd += pg_->RecountSupports(
                 lo, *pool_, num_threads_, pool_->Get(0));
             maintenance_->EndRecount();
@@ -886,7 +886,7 @@ class RangeDecomposer {
         // Dynamic Graph Maintenance (§4.2): compact adjacency once ≥ m
         // wedges were traversed since the last compaction.
         if (maintenance_ != nullptr) {
-          maintenance_->OnPeelWedges(round_wedges, num_threads_);
+          maintenance_->OnPeelWedges(round_wedges);
         }
         // Drain the per-thread frontier and support-delta buffers every
         // round (the workspace invariant), whichever direction rebuilds
@@ -1021,7 +1021,7 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
   SequentialPeelOutcome out;
   ws.EnsureVertexCapacity(live.num_vertices());
   GraphMaintenance maintenance(live, config.use_huc, config.use_dgm,
-                               graph.num_edges());
+                               graph.num_edges(), /*num_threads=*/1);
 
   std::span<Count> fresh;
   if (config.use_huc) {
@@ -1066,7 +1066,7 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
       // Re-counting this (small, induced) graph is cheaper than exploring
       // the peeled vertex's wedges.
       ++out.huc_recounts;
-      maintenance.BeginRecount(/*num_threads=*/1);
+      maintenance.BeginRecount();
       out.wedges += CountVertexButterfliesSeq(live, ws, fresh);
       for (VertexId lu = 0; lu < num_peel; ++lu) {
         if (!live.IsAlive(lu)) continue;
@@ -1081,7 +1081,7 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
             extractor.NotifyUpdate(u2, new_support);
           });
       out.wedges += wedges;
-      maintenance.OnPeelWedges(wedges, /*num_threads=*/1);
+      maintenance.OnPeelWedges(wedges);
     }
   }
 

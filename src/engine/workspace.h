@@ -33,11 +33,10 @@ struct PeelWorkspace {
   /// neighbor id. 64-bit: multiplicities are bounded by degree, but a dense
   /// high-degree vertex can collect > 2^32 wedges across one traversal.
   std::vector<uint64_t> wedge_count;
-  /// Non-zero entries of wedge_count (nze of Alg. 1).
+  /// Non-zero entries of wedge_count (nze of Alg. 1). Counting keeps no
+  /// wedge list (nzw of Alg. 1): it folds the opposite-side updates per
+  /// (start, mid) pair by re-walking each mid point's rank-bounded prefix.
   std::vector<VertexId> touched;
-  /// Wedge list (mid, end) for the counting kernel's opposite-side pass
-  /// (nzw of Alg. 1).
-  std::vector<std::pair<VertexId, VertexId>> wedge_pairs;
   /// V-side mark array for edge (wing) peeling: stores edge id + 1 while a
   /// peel is in flight, 0 = unmarked.
   std::vector<EdgeOffset> edge_mark;

@@ -22,7 +22,11 @@ namespace receipt {
 ///
 /// Between compactions, Degree()/Neighbors() may still include dead
 /// vertices; traversals must skip them via IsAlive(). After Compact() the
-/// lists of *live* vertices contain only live neighbors.
+/// lists of *live* vertices contain only live neighbors. The view records
+/// which sides lost vertices since the last Compact(): only the lists of
+/// the opposite side can hold dead entries, so Compact() rewrites those
+/// alone (tip peeling kills U vertices only, so the U lists — half the
+/// slots — are never rescanned).
 class DynamicGraph {
  public:
   /// An empty graph; fill in with Reset(). Exists so DynamicGraphs can live
@@ -31,14 +35,18 @@ class DynamicGraph {
 
   /// `rank` must be a permutation of [0, num_vertices) (see
   /// BipartiteGraph::DegreeDescendingRanks). Lower rank = higher priority.
-  DynamicGraph(const BipartiteGraph& graph, std::span<const VertexId> rank) {
-    Reset(graph, rank);
+  /// The adjacency lists are sorted with `num_threads` OpenMP threads; the
+  /// result is identical for every thread count.
+  DynamicGraph(const BipartiteGraph& graph, std::span<const VertexId> rank,
+               int num_threads = 1) {
+    Reset(graph, rank, num_threads);
   }
 
   /// Re-initializes this view over `graph` (everything alive, adjacency
   /// re-sorted by `rank`), reusing the internal arrays' capacity — the
   /// allocation-free path for arena-resident per-partition graphs.
-  void Reset(const BipartiteGraph& graph, std::span<const VertexId> rank);
+  void Reset(const BipartiteGraph& graph, std::span<const VertexId> rank,
+             int num_threads = 1);
 
   /// Capacity of the internal arrays in elements (arena-reuse telemetry).
   size_t CapacityFootprint() const {
@@ -53,7 +61,12 @@ class DynamicGraph {
 
   bool IsAlive(VertexId w) const { return alive_[w] != 0; }
   /// Marks `w` dead. Does not touch adjacency (lazy; see Compact()).
-  void Kill(VertexId w) { alive_[w] = 0; }
+  /// Not thread-safe: callers kill a round's vertices before its parallel
+  /// peel starts.
+  void Kill(VertexId w) {
+    alive_[w] = 0;
+    (IsU(w) ? killed_u_ : killed_v_) = true;
+  }
 
   /// Current degree: number of entries in the (possibly uncompacted)
   /// adjacency list. An upper bound on the live degree.
@@ -67,8 +80,11 @@ class DynamicGraph {
   /// Priority rank of a vertex (fixed at construction).
   VertexId Rank(VertexId w) const { return rank_[w]; }
 
-  /// Removes dead entries from every live vertex's adjacency list, updating
-  /// degrees. O(current edge slots) with `num_threads` OpenMP threads.
+  /// Removes dead entries from every live vertex's adjacency list and
+  /// zeroes the degrees of dead vertices. Only the lists of the side
+  /// opposite a side that lost vertices since the last Compact() are
+  /// rewritten: O(num_vertices + those lists' slots) with `num_threads`
+  /// OpenMP threads.
   void Compact(int num_threads);
 
   /// Σ of current degrees over live vertices (≈ 2·live edges once
@@ -78,8 +94,8 @@ class DynamicGraph {
   /// Σ_{(u,v) live} min(d_u, d_v) with current degrees — the re-counting
   /// cost bound C_rcnt of §4.1. Exact after a Compact(), an overestimate
   /// between compactions (safe: HUC then triggers less often, never
-  /// wrongly).
-  Count RecountCostBound() const;
+  /// wrongly). A deterministic parallel sum over `num_threads` threads.
+  Count RecountCostBound(int num_threads = 1) const;
 
   /// Σ_{x ∈ N(w), alive} (d_x − 1) with current degrees: the live wedge
   /// count of `w`, i.e. the cost of peeling it now.
@@ -96,6 +112,8 @@ class DynamicGraph {
   std::vector<uint64_t> degree_;       // live prefix length per vertex
   std::vector<uint8_t> alive_;
   std::vector<VertexId> rank_;
+  bool killed_u_ = false;  // a U vertex died since the last Compact()
+  bool killed_v_ = false;  // a V vertex died since the last Compact()
 };
 
 }  // namespace receipt

@@ -25,7 +25,7 @@ TipResult ParbDecompose(const BipartiteGraph& graph,
   TipResult result;
   result.tip_numbers.assign(g.num_u(), 0);
 
-  DynamicGraph live(g, g.DegreeDescendingRanks());
+  DynamicGraph live(g, g.DegreeDescendingRanks(), num_threads);
   engine::WorkspacePool local_pool;
   engine::WorkspacePool& pool =
       engine::ResolvePool(options.workspace_pool, local_pool);

@@ -32,13 +32,17 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
   const uint32_t max_partitions =
       static_cast<uint32_t>(std::max(1, options.num_partitions));
 
-  DynamicGraph live(graph, graph.DegreeDescendingRanks());
+  // Rank relabel and the rank-sorted peelable view, traced apart from
+  // counting so engine.count covers wedge aggregation alone.
+  const uint64_t view_start_ns =
+      options.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
+  DynamicGraph live(graph, graph.DegreeDescendingRanks(), num_threads);
   pool.Prepare(std::max(1, num_threads), graph.num_vertices());
+  options.trace.EmitSince("engine.view", view_start_ns, graph.num_edges());
 
   // Support initialization via pvBcnt (Alg. 3 line 2).
-  const uint64_t count_start_ns = options.trace.enabled()
-                                      ? obs::TraceRecorder::NowNs()
-                                      : 0;
+  const uint64_t count_start_ns =
+      options.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
   WallTimer count_timer;
   std::vector<Count> support(graph.num_vertices(), 0);
   stats->wedges_counting +=
@@ -61,8 +65,8 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
     wedge_static[u] = graph.WedgeCount(static_cast<VertexId>(u));
   });
 
-  engine::GraphMaintenance maintenance(live, options.use_huc,
-                                       options.use_dgm, graph.num_edges());
+  engine::GraphMaintenance maintenance(live, options.use_huc, options.use_dgm,
+                                       graph.num_edges(), num_threads);
   engine::TipPeelGraph peel_graph(live, support);
   engine::RangeDecomposer<engine::TipPeelGraph> decomposer(
       peel_graph, wedge_static,

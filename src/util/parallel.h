@@ -32,8 +32,21 @@ void ParallelFor(size_t n, int num_threads, Fn&& fn) {
   }
 }
 
+/// Dynamic-schedule chunk for a loop of `n` skewed items over `num_threads`
+/// threads: n / (64·threads), clamped to [1, 64]. Large loops (counting,
+/// big wing rounds) keep the 64-item chunk that amortizes the scheduler;
+/// a loop smaller than 64·threads — most RECEIPT CD and ParB peel rounds —
+/// is handed out in chunks small enough that every thread gets work, since
+/// one chunk of 64 would put the whole round on a single thread.
+inline size_t DynamicChunk(size_t n, int num_threads) {
+  const size_t per_thread = n / (64 * static_cast<size_t>(num_threads));
+  return std::clamp<size_t>(per_thread, 1, 64);
+}
+
 /// ParallelFor with a per-thread context object: `fn(ctx[tid], i)`. Used to
 /// hand each thread its own wedge-aggregation scratch array (Alg. 1 line 5).
+/// The dynamic chunk follows the loop size (DynamicChunk), so small peel
+/// rounds spread across all threads.
 template <typename Ctx, typename Fn>
 void ParallelForWithContext(size_t n, int num_threads, std::vector<Ctx>& ctxs,
                             Fn&& fn) {
@@ -41,10 +54,11 @@ void ParallelForWithContext(size_t n, int num_threads, std::vector<Ctx>& ctxs,
     for (size_t i = 0; i < n; ++i) fn(ctxs[0], i);
     return;
   }
+  const size_t chunk = DynamicChunk(n, num_threads);
 #pragma omp parallel num_threads(num_threads)
   {
     Ctx& ctx = ctxs[omp_get_thread_num()];
-#pragma omp for schedule(dynamic, 64)
+#pragma omp for schedule(dynamic, chunk)
     for (size_t i = 0; i < n; ++i) {
       fn(ctx, i);
     }

@@ -10,6 +10,7 @@
 #include <string>
 #include <tuple>
 
+#include "engine/counting.h"
 #include "graph/generators.h"
 
 namespace receipt {
@@ -92,6 +93,10 @@ TEST(ButterflyCountTest, CountsRespectDeadVertices) {
   live.Compact(2);
   std::vector<Count> compacted(g.num_vertices(), 0);
   PerVertexButterflyCount(live, 2, compacted);
+  // The sequential kernel FD tasks run for their HUC re-counts.
+  engine::PeelWorkspace ws;
+  std::vector<Count> sequential(g.num_vertices(), 0);
+  engine::CountVertexButterfliesSeq(live, ws, sequential);
 
   // Reference: rebuild the surviving graph.
   std::vector<BipartiteGraph::Edge> edges;
@@ -106,6 +111,13 @@ TEST(ButterflyCountTest, CountsRespectDeadVertices) {
   for (VertexId u : kept) {
     EXPECT_EQ(uncompacted[u], expected[u]) << "u" << u;
     EXPECT_EQ(compacted[u], expected[u]) << "u" << u;
+    EXPECT_EQ(sequential[u], expected[u]) << "u" << u;
+  }
+  for (VertexId v = 0; v < g.num_v(); ++v) {
+    const VertexId gv = g.VGlobal(v);
+    EXPECT_EQ(uncompacted[gv], expected[gv]) << "v" << v;
+    EXPECT_EQ(compacted[gv], expected[gv]) << "v" << v;
+    EXPECT_EQ(sequential[gv], expected[gv]) << "v" << v;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -113,6 +114,78 @@ TEST(DynamicGraphTest, KillAllYieldsEmptyLiveGraph) {
   EXPECT_EQ(live.RecountCostBound(), 0u);
   for (VertexId v = 0; v < 3; ++v) {
     EXPECT_EQ(live.Degree(g.VGlobal(v)), 0u);
+  }
+}
+
+std::vector<VertexId> ListOf(const DynamicGraph& live, VertexId w) {
+  const auto nbrs = live.Neighbors(w);
+  return {nbrs.begin(), nbrs.end()};
+}
+
+TEST(DynamicGraphTest, CompactRewritesOnlyListsOppositeKilledSide) {
+  const BipartiteGraph g = ChungLuBipartite(120, 50, 600, 0.7, 0.7, 41);
+  DynamicGraph live = MakeLive(g);
+  for (VertexId u = 0; u < g.num_u(); u += 4) live.Kill(u);
+  std::vector<std::vector<VertexId>> before(g.num_vertices());
+  for (VertexId w = 0; w < g.num_vertices(); ++w) before[w] = ListOf(live, w);
+
+  // Only U vertices died: U lists (V ids) are untouched, V lists lose
+  // exactly their dead entries in rank order, dead vertices read degree 0.
+  live.Compact(2);
+  for (VertexId u = 0; u < g.num_u(); ++u) {
+    if (live.IsAlive(u)) {
+      EXPECT_EQ(ListOf(live, u), before[u]) << "u" << u;
+    } else {
+      EXPECT_EQ(live.Degree(u), 0u) << "u" << u;
+    }
+  }
+  for (VertexId v = 0; v < g.num_v(); ++v) {
+    const VertexId gv = g.VGlobal(v);
+    std::vector<VertexId> expected;
+    for (const VertexId u : before[gv]) {
+      if (live.IsAlive(u)) expected.push_back(u);
+    }
+    EXPECT_EQ(ListOf(live, gv), expected) << "v" << v;
+  }
+
+  // A V vertex dies: the next Compact() cleans the U lists too.
+  const VertexId dead_v = g.VGlobal(0);
+  ASSERT_GT(g.Degree(dead_v), 0u);
+  live.Kill(dead_v);
+  live.Compact(2);
+  EXPECT_EQ(live.Degree(dead_v), 0u);
+  for (VertexId u = 0; u < g.num_u(); ++u) {
+    if (!live.IsAlive(u)) continue;
+    std::vector<VertexId> expected;
+    for (const VertexId v : before[u]) {
+      if (v != dead_v) expected.push_back(v);
+    }
+    EXPECT_EQ(ListOf(live, u), expected) << "u" << u;
+  }
+}
+
+TEST(DynamicGraphTest, ParallelBuildAndCostBoundMatchSequential) {
+  // Large enough that the parallel reduction leaves its sequential
+  // fallback (>= 4096 U vertices).
+  const BipartiteGraph g = ChungLuBipartite(6000, 900, 30000, 0.7, 0.7, 43);
+  const std::vector<VertexId> rank = g.DegreeDescendingRanks();
+  const DynamicGraph sequential(g, rank, 1);
+  DynamicGraph reference(g, rank, 1);
+  for (VertexId u = 0; u < g.num_u(); u += 5) reference.Kill(u);
+  reference.Compact(1);
+  const Count reference_bound = reference.RecountCostBound(1);
+  for (const int threads : {1, 2, 4}) {
+    DynamicGraph live(g, rank, threads);
+    for (VertexId w = 0; w < g.num_vertices(); ++w) {
+      ASSERT_EQ(ListOf(live, w), ListOf(sequential, w))
+          << "w" << w << " t" << threads;
+    }
+    EXPECT_EQ(live.RecountCostBound(threads), g.CountingCostBound())
+        << "t" << threads;
+    for (VertexId u = 0; u < g.num_u(); u += 5) live.Kill(u);
+    live.Compact(threads);
+    EXPECT_EQ(live.RecountCostBound(threads), reference_bound)
+        << "t" << threads;
   }
 }
 

@@ -224,9 +224,10 @@ TEST(GraphMaintenanceTest, RecountDisabledWithoutHuc) {
   const BipartiteGraph g = CompleteBipartite(6, 6);
   DynamicGraph live(g, g.DegreeDescendingRanks());
   engine::GraphMaintenance maintenance(live, /*use_huc=*/false,
-                                       /*use_dgm=*/false, g.num_edges());
+                                       /*use_dgm=*/false, g.num_edges(),
+                                       /*num_threads=*/1);
   EXPECT_FALSE(maintenance.ShouldRecount(kInvalidCount - 1));
-  maintenance.OnPeelWedges(1u << 30, 1);
+  maintenance.OnPeelWedges(1u << 30);
   EXPECT_EQ(maintenance.compactions(), 0u);
 }
 
@@ -235,13 +236,14 @@ TEST(GraphMaintenanceTest, DgmCompactsWhenBudgetExceeded) {
   DynamicGraph live(g, g.DegreeDescendingRanks());
   engine::GraphMaintenance maintenance(live, /*use_huc=*/true,
                                        /*use_dgm=*/true,
-                                       /*wedge_budget=*/100);
-  maintenance.OnPeelWedges(100, 1);  // exactly the budget: no trigger
+                                       /*wedge_budget=*/100,
+                                       /*num_threads=*/1);
+  maintenance.OnPeelWedges(100);  // exactly the budget: no trigger
   EXPECT_EQ(maintenance.compactions(), 0u);
-  maintenance.OnPeelWedges(1, 1);  // crosses it
+  maintenance.OnPeelWedges(1);  // crosses it
   EXPECT_EQ(maintenance.compactions(), 1u);
   // Accumulator reset: the next wedge does not trigger again.
-  maintenance.OnPeelWedges(1, 1);
+  maintenance.OnPeelWedges(1);
   EXPECT_EQ(maintenance.compactions(), 1u);
 }
 

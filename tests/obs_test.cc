@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <memory>
@@ -402,6 +403,7 @@ TEST(HttpObservabilityTest, DecomposeCarriesTraceWithQueueAndEngineSpans) {
   EXPECT_EQ(names.count("request.parse"), 1u);
   EXPECT_EQ(names.count("queue.wait"), 1u);
   EXPECT_EQ(names.count("engine.run"), 1u);
+  EXPECT_EQ(names.count("engine.view"), 1u);
   EXPECT_EQ(names.count("engine.count"), 1u);
   EXPECT_EQ(names.count("engine.cd"), 1u);
   EXPECT_EQ(names.count("engine.cd.range"), 1u);
@@ -414,12 +416,21 @@ TEST(HttpObservabilityTest, DecomposeCarriesTraceWithQueueAndEngineSpans) {
   const util::JsonValue* spans = trace_json.Find("spans");
   ASSERT_NE(spans, nullptr);
   uint64_t previous_start = 0;
+  std::vector<std::string> order;
   for (const util::JsonValue& span : spans->Items()) {
     const util::JsonValue* start = span.Find("start_ns");
     ASSERT_NE(start, nullptr);
     EXPECT_GE(start->AsUint(), previous_start);
     previous_start = start->AsUint();
+    std::string name;
+    span.GetString("name", &name);
+    order.push_back(name);
   }
+  // The view build (rank relabel + DynamicGraph) is its own span, ahead of
+  // counting.
+  const auto view = std::find(order.begin(), order.end(), "engine.view");
+  const auto count = std::find(order.begin(), order.end(), "engine.count");
+  EXPECT_LT(view, count);
 }
 
 TEST(HttpObservabilityTest, MintedTraceIdWhenHeaderAbsent) {

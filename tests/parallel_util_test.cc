@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util/stats.h"
@@ -34,6 +36,36 @@ TEST(ParallelUtilTest, ParallelForWithContextUsesDistinctContexts) {
   uint64_t total = 0;
   for (const Ctx& c : ctxs) total += c.sum;
   EXPECT_EQ(total, 10000ull * 9999 / 2);
+}
+
+TEST(ParallelUtilTest, DynamicChunkFollowsLoopSize) {
+  EXPECT_EQ(DynamicChunk(1'000'000, 2), 64u);  // large loops keep 64
+  EXPECT_EQ(DynamicChunk(64 * 2 * 64, 2), 64u);
+  EXPECT_EQ(DynamicChunk(1000, 2), 7u);
+  EXPECT_EQ(DynamicChunk(100, 2), 1u);  // small rounds: one item a chunk
+  EXPECT_EQ(DynamicChunk(0, 4), 1u);
+}
+
+TEST(ParallelUtilTest, SmallLoopSpreadsAcrossThreads) {
+  // Each of two items waits (bounded) until the other has started, which
+  // only happens at once when they run on different threads. Were both
+  // handed to one thread as a single chunk, the first would time out.
+  struct Ctx {};
+  std::vector<Ctx> ctxs(2);
+  std::atomic<bool> started[2] = {false, false};
+  std::atomic<bool> saw_other[2] = {false, false};
+  ParallelForWithContext(2, 2, ctxs, [&](Ctx&, size_t i) {
+    started[i].store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!started[1 - i].load()) {
+      if (std::chrono::steady_clock::now() > deadline) return;
+      std::this_thread::yield();
+    }
+    saw_other[i].store(true);
+  });
+  EXPECT_TRUE(saw_other[0].load());
+  EXPECT_TRUE(saw_other[1].load());
 }
 
 TEST(ParallelUtilTest, AtomicAddConcurrent) {
