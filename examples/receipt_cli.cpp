@@ -518,15 +518,8 @@ int CmdUpdate(const Args& args) {
   if (!ParseTrackSpecs(args.Get("track"), &track)) return 1;
 
   util::JsonWriter writer;
-  writer.BeginObject().Key("edges").BeginArray();
-  for (const service::EdgeUpdate& update : updates) {
-    writer.BeginObject()
-        .Key("op").String(update.insert ? "insert" : "delete")
-        .Key("u").Uint(update.u)
-        .Key("v").Uint(update.v)
-        .EndObject();
-  }
-  writer.EndArray();
+  writer.BeginObject().Key("edges");
+  service::WriteEdgeUpdatesJson(updates, &writer);
   if (args.Has("seal")) writer.Key("seal").Bool(true);
   if (const int64_t threads = args.GetInt("threads", 0); threads > 0) {
     writer.Key("threads").Int(threads);

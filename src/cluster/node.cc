@@ -16,29 +16,8 @@ namespace {
 
 using server::HttpRequest;
 using server::HttpResponse;
-
-HttpResponse JsonError(int status, const std::string& message) {
-  util::JsonWriter json;
-  json.BeginObject()
-      .Key("status").String("error")
-      .Key("error").String(message)
-      .EndObject();
-  HttpResponse response;
-  response.status = status;
-  response.body = json.Take();
-  return response;
-}
-
-int HttpStatusFor(service::Status status) {
-  switch (status) {
-    case service::Status::kOk: return 200;
-    case service::Status::kNotFound: return 404;
-    case service::Status::kBadRequest: return 400;
-    case service::Status::kCancelled: return 499;
-    case service::Status::kShutdown: return 503;
-  }
-  return 500;
-}
+using server::HttpStatusFor;
+using server::JsonError;
 
 /// The graph name a request addresses: the "graph" body field for
 /// /v1/decompose, the "name" field for /v1/graphs. Empty when absent —
@@ -104,66 +83,66 @@ std::vector<std::pair<std::string, std::string>> PropagatedHeaders(
   return headers;
 }
 
-/// Parses the client-facing edges body ({"edges":[{"op","u","v"}]}) with
-/// the same rules as the frontend. False means the frontend will reject
-/// it too — the owner skips fan-out and lets the local 400 stand.
-bool ParseEdgeUpdates(const util::JsonValue& json,
-                      std::vector<service::EdgeUpdate>* updates) {
+/// Reads the graph a cluster register or sync body carries: name, epoch,
+/// shape and [u, v] edge pairs. The shape must fit the combined 32-bit
+/// vertex space and every edge must lie inside it — the graph build
+/// aborts on anything else, so a malformed body is refused here. False
+/// with *error set on any violation.
+bool ParseGraphBody(const util::JsonValue& json, std::string* name,
+                    uint64_t* epoch, BipartiteGraph* graph,
+                    std::string* error) {
+  int64_t num_u = -1;
+  int64_t num_v = -1;
+  const util::JsonValue* epoch_json = json.Find("epoch");
   const util::JsonValue* edges = json.Find("edges");
-  if (edges == nullptr || !edges->IsArray()) return false;
-  updates->reserve(edges->Items().size());
-  for (const util::JsonValue& item : edges->Items()) {
-    if (!item.IsObject()) return false;
-    service::EdgeUpdate update;
-    std::string op;
-    if (item.GetString("op", &op)) {
-      if (op == "insert" || op == "+") {
-        update.insert = true;
-      } else if (op == "delete" || op == "-") {
-        update.insert = false;
-      } else {
-        return false;
-      }
-    }
-    int64_t u = -1;
-    int64_t v = -1;
-    if (!item.GetInt("u", &u) || !item.GetInt("v", &v) || u < 0 || v < 0 ||
-        u > UINT32_MAX || v > UINT32_MAX) {
-      return false;
-    }
-    update.u = static_cast<VertexId>(u);
-    update.v = static_cast<VertexId>(v);
-    updates->push_back(update);
+  if (!json.GetString("name", name) || epoch_json == nullptr ||
+      !epoch_json->IsInt() || !json.GetInt("num_u", &num_u) ||
+      !json.GetInt("num_v", &num_v) || edges == nullptr ||
+      !edges->IsArray()) {
+    *error = "body needs name, epoch, num_u, num_v and [u,v] edge pairs";
+    return false;
   }
-  return true;
-}
-
-void WriteEdgeUpdates(util::JsonWriter* json,
-                      const std::vector<service::EdgeUpdate>& updates) {
-  json->Key("edges").BeginArray();
-  for (const service::EdgeUpdate& update : updates) {
-    json->BeginObject()
-        .Key("op").String(update.insert ? "+" : "-")
-        .Key("u").Uint(update.u)
-        .Key("v").Uint(update.v)
-        .EndObject();
+  // Each side is bounded before the sum, so the sum cannot overflow.
+  if (num_u < 0 || num_v < 0 || num_u >= kInvalidVertex ||
+      num_v >= kInvalidVertex || num_u + num_v >= kInvalidVertex) {
+    *error = "num_u + num_v must fit the 32-bit vertex space";
+    return false;
   }
-  json->EndArray();
-}
-
-bool ParseEdgePairs(const util::JsonValue* edges,
-                    std::vector<BipartiteGraph::Edge>* out) {
-  if (edges == nullptr || !edges->IsArray()) return false;
-  out->reserve(edges->Items().size());
+  const auto in_range = [](const util::JsonValue& id, int64_t limit) {
+    return id.IsInt() && id.AsInt() >= 0 &&
+           id.AsUint() < static_cast<uint64_t>(limit);
+  };
+  std::vector<BipartiteGraph::Edge> pairs;
+  pairs.reserve(edges->Items().size());
   for (const util::JsonValue& item : edges->Items()) {
     if (!item.IsArray() || item.Items().size() != 2 ||
-        !item.Items()[0].IsInt() || !item.Items()[1].IsInt()) {
+        !in_range(item.Items()[0], num_u) ||
+        !in_range(item.Items()[1], num_v)) {
+      *error = "edges must be [u,v] pairs inside the num_u x num_v shape";
       return false;
     }
-    out->push_back({static_cast<VertexId>(item.Items()[0].AsUint()),
-                    static_cast<VertexId>(item.Items()[1].AsUint())});
+    pairs.push_back({static_cast<VertexId>(item.Items()[0].AsUint()),
+                     static_cast<VertexId>(item.Items()[1].AsUint())});
   }
+  *epoch = epoch_json->AsUint();
+  *graph = BipartiteGraph::FromEdges(static_cast<VertexId>(num_u),
+                                     static_cast<VertexId>(num_v),
+                                     std::move(pairs));
   return true;
+}
+
+/// {"status":"ok","graph":name,"epoch":epoch}: the cluster register and
+/// sync acknowledgement.
+HttpResponse OkResponse(const std::string& name, uint64_t epoch) {
+  util::JsonWriter json;
+  json.BeginObject()
+      .Key("status").String("ok")
+      .Key("graph").String(name)
+      .Key("epoch").Uint(epoch)
+      .EndObject();
+  HttpResponse response;
+  response.body = json.Take();
+  return response;
 }
 
 void WriteEdgePairs(util::JsonWriter* json,
@@ -434,13 +413,15 @@ HttpResponse ClusterNode::HandleEdges(const HttpRequest& request) {
   HttpResponse response = frontend_->HandleGraphEdges(request);
   if (response.status != 200 || expected_epoch == 0) return response;
 
-  // Mirror what the frontend just accepted. Both parses see the same
-  // body, so a parse failure here is unreachable on a 200 — checked
-  // anyway to keep fan-out from shipping garbage.
+  // Mirror what the frontend just accepted. Both parses run the same
+  // codec on the same body, so a parse failure here is unreachable on a
+  // 200 — checked anyway to keep fan-out from shipping garbage.
   std::vector<service::EdgeUpdate> updates;
+  std::string parse_error;
   const auto body_json = util::JsonValue::Parse(request.body);
   if (!body_json.has_value() || !body_json->IsObject() ||
-      !ParseEdgeUpdates(*body_json, &updates)) {
+      !service::EdgeUpdatesFromJson(*body_json, "edges", &updates,
+                                    &parse_error)) {
     return response;
   }
   const auto response_json = util::JsonValue::Parse(response.body);
@@ -462,8 +443,9 @@ HttpResponse ClusterNode::HandleEdges(const HttpRequest& request) {
       .Key("expected_epoch").Uint(expected_epoch)
       .Key("seal").Bool(sealed)
       .Key("sealed_epoch").Uint(sealed ? sealed_epoch : 0)
-      .Key("threads").Int(threads);
-  WriteEdgeUpdates(&json, updates);
+      .Key("threads").Int(threads)
+      .Key("edges");
+  service::WriteEdgeUpdatesJson(updates, &json);
   json.EndObject();
   ReplicateEdges(name, json.Take());
   return response;
@@ -549,15 +531,8 @@ bool ClusterNode::SyncPeer(const ClusterMember& member,
       .Key("num_u").Uint(exported.num_u)
       .Key("num_v").Uint(exported.num_v);
   WriteEdgePairs(&json, exported.edges);
-  json.Key("pending").BeginArray();
-  for (const service::EdgeUpdate& update : exported.pending) {
-    json.BeginObject()
-        .Key("op").String(update.insert ? "+" : "-")
-        .Key("u").Uint(update.u)
-        .Key("v").Uint(update.v)
-        .EndObject();
-  }
-  json.EndArray();
+  json.Key("pending");
+  service::WriteEdgeUpdatesJson(exported.pending, &json);
   json.EndObject();
 
   HttpClientResponse peer;
@@ -573,37 +548,19 @@ HttpResponse ClusterNode::HandleClusterRegister(const HttpRequest& request) {
     return JsonError(400, "malformed cluster register body");
   }
   std::string name;
-  int64_t num_u = 0;
-  int64_t num_v = 0;
-  const util::JsonValue* epoch = json->Find("epoch");
-  std::vector<BipartiteGraph::Edge> edges;
-  if (!json->GetString("name", &name) || epoch == nullptr ||
-      !epoch->IsInt() || !json->GetInt("num_u", &num_u) ||
-      !json->GetInt("num_v", &num_v) || num_u < 0 || num_v < 0 ||
-      !ParseEdgePairs(json->Find("edges"), &edges)) {
-    return JsonError(400, "cluster register body needs name, epoch, "
-                          "num_u, num_v and [u,v] edge pairs");
-  }
+  uint64_t epoch = 0;
+  BipartiteGraph graph;
   std::string error;
-  const service::Status status = service_->RegisterGraphAtEpoch(
-      name,
-      BipartiteGraph::FromEdges(static_cast<VertexId>(num_u),
-                                static_cast<VertexId>(num_v),
-                                std::move(edges)),
-      epoch->AsUint(), &error);
+  if (!ParseGraphBody(*json, &name, &epoch, &graph, &error)) {
+    return JsonError(400, "cluster register: " + error);
+  }
+  const service::Status status =
+      service_->RegisterGraphAtEpoch(name, std::move(graph), epoch, &error);
   if (status != service::Status::kOk) {
     return JsonError(HttpStatusFor(status), error);
   }
   replicated_applies_.fetch_add(1, std::memory_order_relaxed);
-  util::JsonWriter out;
-  out.BeginObject()
-      .Key("status").String("ok")
-      .Key("graph").String(name)
-      .Key("epoch").Uint(epoch->AsUint())
-      .EndObject();
-  HttpResponse response;
-  response.body = out.Take();
-  return response;
+  return OkResponse(name, epoch);
 }
 
 HttpResponse ClusterNode::HandleClusterEdges(const HttpRequest& request) {
@@ -617,23 +574,31 @@ HttpResponse ClusterNode::HandleClusterEdges(const HttpRequest& request) {
   bool seal = false;
   int64_t threads = 0;
   std::vector<service::EdgeUpdate> updates;
+  std::string error;
   if (!json->GetString("graph", &graph) || expected == nullptr ||
-      !expected->IsInt() || !ParseEdgeUpdates(*json, &updates)) {
+      !expected->IsInt()) {
     return JsonError(400, "cluster edges body needs graph, expected_epoch "
                           "and edges");
+  }
+  if (!service::EdgeUpdatesFromJson(*json, "edges", &updates, &error)) {
+    return JsonError(400, "cluster edges: " + error);
   }
   json->GetBool("seal", &seal);
   json->GetInt("threads", &threads);
 
+  const uint64_t expected_epoch = expected->AsUint();
   const service::ApplyResult result = service_->live().ApplyReplicated(
-      graph, updates, seal, expected->AsUint(),
+      graph, updates, seal, expected_epoch,
       sealed_epoch != nullptr && sealed_epoch->IsInt()
           ? sealed_epoch->AsUint()
           : 0,
       static_cast<int>(threads));
   if (result.status != service::Status::kOk) {
+    // A rejected batch reports the local epoch: one off the owner's chain
+    // means this replica diverged and needs the owner's full-state sync.
     const bool chain_mismatch =
-        result.error.find("epoch chain mismatch") != std::string::npos;
+        result.status == service::Status::kBadRequest &&
+        result.epoch != expected_epoch;
     util::JsonWriter out;
     out.BeginObject()
         .Key("status").String("error")
@@ -666,65 +631,39 @@ HttpResponse ClusterNode::HandleClusterSync(const HttpRequest& request) {
     return JsonError(400, "malformed cluster sync body");
   }
   std::string name;
-  int64_t num_u = 0;
-  int64_t num_v = 0;
-  const util::JsonValue* epoch = json->Find("epoch");
-  std::vector<BipartiteGraph::Edge> edges;
+  uint64_t epoch = 0;
+  BipartiteGraph graph;
   std::vector<service::EdgeUpdate> pending;
-  if (!json->GetString("name", &name) || epoch == nullptr ||
-      !epoch->IsInt() || !json->GetInt("num_u", &num_u) ||
-      !json->GetInt("num_v", &num_v) || num_u < 0 || num_v < 0 ||
-      !ParseEdgePairs(json->Find("edges"), &edges)) {
-    return JsonError(400, "cluster sync body needs name, epoch, num_u, "
-                          "num_v and [u,v] edge pairs");
+  std::string error;
+  if (!ParseGraphBody(*json, &name, &epoch, &graph, &error)) {
+    return JsonError(400, "cluster sync: " + error);
   }
-  if (const util::JsonValue* pending_json = json->Find("pending");
-      pending_json != nullptr && pending_json->IsArray()) {
-    for (const util::JsonValue& item : pending_json->Items()) {
-      if (!item.IsObject()) {
-        return JsonError(400, "'pending' entries must be objects");
-      }
-      service::EdgeUpdate update;
-      std::string op;
-      if (item.GetString("op", &op)) update.insert = op != "-";
-      int64_t u = -1;
-      int64_t v = -1;
-      if (!item.GetInt("u", &u) || !item.GetInt("v", &v) || u < 0 || v < 0) {
-        return JsonError(400, "'pending' entries need 'u' and 'v'");
-      }
-      update.u = static_cast<VertexId>(u);
-      update.v = static_cast<VertexId>(v);
-      pending.push_back(update);
+  if (json->Find("pending") != nullptr &&
+      !service::EdgeUpdatesFromJson(*json, "pending", &pending, &error)) {
+    return JsonError(400, "cluster sync: " + error);
+  }
+  // The pending updates must fit the synced shape: checked before the
+  // registration is installed, so a bad body changes nothing.
+  for (const service::EdgeUpdate& update : pending) {
+    if (update.u >= graph.num_u() || update.v >= graph.num_v()) {
+      return JsonError(400, "cluster sync: 'pending' lies outside the shape");
     }
   }
 
-  std::string error;
-  const service::Status status = service_->RegisterGraphAtEpoch(
-      name,
-      BipartiteGraph::FromEdges(static_cast<VertexId>(num_u),
-                                static_cast<VertexId>(num_v),
-                                std::move(edges)),
-      epoch->AsUint(), &error);
+  const service::Status status =
+      service_->RegisterGraphAtEpoch(name, std::move(graph), epoch, &error);
   if (status != service::Status::kOk) {
     return JsonError(HttpStatusFor(status), error);
   }
   if (!pending.empty()) {
     const service::ApplyResult result = service_->live().ApplyReplicated(
-        name, pending, /*seal=*/false, epoch->AsUint(), 0, 0);
+        name, pending, /*seal=*/false, epoch, 0, 0);
     if (result.status != service::Status::kOk) {
       return JsonError(HttpStatusFor(result.status), result.error);
     }
   }
   replicated_applies_.fetch_add(1, std::memory_order_relaxed);
-  util::JsonWriter out;
-  out.BeginObject()
-      .Key("status").String("ok")
-      .Key("graph").String(name)
-      .Key("epoch").Uint(epoch->AsUint())
-      .EndObject();
-  HttpResponse response;
-  response.body = out.Take();
-  return response;
+  return OkResponse(name, epoch);
 }
 
 HttpResponse ClusterNode::HandleInfo(const HttpRequest&) {

@@ -13,21 +13,7 @@ namespace {
 
 using server::HttpRequest;
 using server::HttpResponse;
-
-HttpResponse JsonError(int status, const std::string& message) {
-  util::JsonWriter json;
-  json.BeginObject()
-      .Key("status").String("error")
-      .Key("error").String(message)
-      .EndObject();
-  HttpResponse response;
-  response.status = status;
-  response.body = json.Take();
-  if (status == 429 || status == 503) {
-    response.extra_headers.emplace_back("Retry-After", "1");
-  }
-  return response;
-}
+using server::JsonError;
 
 std::string ClientId(const HttpRequest& request) {
   const auto it = request.headers.find("x-client-id");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "util/io.h"
 #include "util/timer.h"
@@ -74,7 +75,7 @@ std::unique_ptr<DurabilityManager> OpenWithRecovery(
       report->records_skipped += 1;
       return true;
     }
-    service::Status status = service::Status::kOk;
+    service::ApplyResult result;
     switch (record.type) {
       case JournalRecord::Type::kRegister: {
         for (const auto& e : record.edges) {
@@ -85,8 +86,9 @@ std::unique_ptr<DurabilityManager> OpenWithRecovery(
           }
         }
         // A re-registration supersedes the snapshot and everything
-        // buffered: from here on this graph replays from the record.
-        live.DropState(record.graph);
+        // buffered: from here on this graph replays from the record. The
+        // live state resyncs on the next replayed batch or seal, like it
+        // does after any registration.
         covered.erase(record.graph);
         registry.RegisterAtEpoch(
             record.graph,
@@ -105,21 +107,35 @@ std::unique_ptr<DurabilityManager> OpenWithRecovery(
         needed_segment.erase(record.graph);
         report->unregistrations_replayed += 1;
         break;
-      case JournalRecord::Type::kEdgeBatch:
-        status = live.ReplayBatch(record.graph, record.epoch, record.updates,
-                                  &replay_error);
-        if (status == service::Status::kOk) {
+      // Batches and seals replay through the replication path with the
+      // journal as the owner: the recorded epochs are the expected and
+      // sealed epochs. Durability is not attached yet, so nothing is
+      // journaled or snapshotted twice.
+      case JournalRecord::Type::kEdgeBatch: {
+        std::vector<service::EdgeUpdate> updates;
+        updates.reserve(record.updates.size());
+        for (const EdgeOp& op : record.updates) {
+          updates.push_back({op.insert, op.u, op.v});
+        }
+        result = live.ApplyReplicated(record.graph, updates, /*seal=*/false,
+                                      record.epoch, 0);
+        if (result.status == service::Status::kOk) {
           report->batches_replayed += 1;
-          report->updates_replayed += record.updates.size();
+          report->updates_replayed += updates.size();
         }
         break;
+      }
       case JournalRecord::Type::kSeal:
-        status = live.ReplaySeal(record.graph, record.epoch, record.new_epoch,
-                                 /*threads=*/0, &replay_error);
-        if (status == service::Status::kOk) report->seals_replayed += 1;
+        result = live.ApplyReplicated(record.graph, {}, /*seal=*/true,
+                                      record.epoch, record.new_epoch);
+        if (result.status == service::Status::kOk) report->seals_replayed += 1;
         break;
     }
-    return status == service::Status::kOk;
+    if (result.status != service::Status::kOk) {
+      replay_error = result.error;
+      return false;
+    }
+    return true;
   };
   JournalScanResult scan;
   if (!ScanJournal(journal_dir, visit, &scan, error)) return nullptr;

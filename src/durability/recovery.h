@@ -32,9 +32,12 @@ struct RecoveryReport {
 /// opens (and returns) the durability manager for the recovered state —
 /// the one startup entry point for `serve --data-dir`.
 ///
-/// Loads the snapshot per graph, replays the journal suffix through the
-/// LiveGraphManager's own replay path (skipping records each graph's
-/// snapshot already covers), asserting the epoch chain is contiguous.
+/// Loads the snapshot per graph, then replays the journal suffix (skipping
+/// records each graph's snapshot already covers). Registrations go
+/// straight to the registry; batches and seals replay through
+/// LiveGraphManager::ApplyReplicated with the journal acting as the shard
+/// owner, which asserts the epoch chain is contiguous. Durability is
+/// attached only after replay, so replay journals and snapshots nothing.
 /// Replayed seals run the real seal path, so the recovered process serves
 /// bit-identical results to the never-crashed one.
 ///

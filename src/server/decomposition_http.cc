@@ -15,8 +15,6 @@
 
 namespace receipt::server {
 
-namespace {
-
 using service::Request;
 using service::Response;
 using service::Status;
@@ -30,18 +28,12 @@ HttpResponse JsonError(int status, const std::string& message) {
   HttpResponse response;
   response.status = status;
   response.body = writer.Take();
-  // Shed load honestly: every overload/unavailable rejection tells clients
-  // when a retry is worth attempting, so well-behaved clients back off
-  // instead of retry-storming.
   if (status == 429 || status == 503) {
     response.extra_headers.emplace_back("Retry-After", "1");
   }
   return response;
 }
 
-/// Service terminal status → HTTP status. Cancellation surfaces as 499
-/// (client-closed-request): the only cancels a connected client can see are
-/// non-drain shutdown races.
 int HttpStatusFor(Status status) {
   switch (status) {
     case Status::kOk: return 200;
@@ -52,6 +44,8 @@ int HttpStatusFor(Status status) {
   }
   return 500;
 }
+
+namespace {
 
 /// The one description of a resident graph both /v1/graphs responses share.
 void WriteGraphInfo(const std::string& name,
@@ -410,37 +404,9 @@ HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
     return finish(JsonError(400, "request body must be a JSON object"));
   }
 
-  const util::JsonValue* edges = json->Find("edges");
-  if (edges == nullptr || !edges->IsArray()) {
-    return finish(JsonError(400, "missing required array field 'edges'"));
-  }
   std::vector<service::EdgeUpdate> updates;
-  updates.reserve(edges->Items().size());
-  for (const util::JsonValue& item : edges->Items()) {
-    if (!item.IsObject()) {
-      return finish(JsonError(400, "'edges' entries must be objects"));
-    }
-    service::EdgeUpdate update;
-    std::string op;
-    if (item.GetString("op", &op)) {
-      if (op == "insert" || op == "+") {
-        update.insert = true;
-      } else if (op == "delete" || op == "-") {
-        update.insert = false;
-      } else {
-        return finish(JsonError(400, "'op' must be 'insert' or 'delete'"));
-      }
-    }
-    int64_t u = -1;
-    int64_t v = -1;
-    if (!item.GetInt("u", &u) || !item.GetInt("v", &v) || u < 0 || v < 0 ||
-        u > UINT32_MAX || v > UINT32_MAX) {
-      return finish(
-          JsonError(400, "'edges' entries need side-local 'u' and 'v' ids"));
-    }
-    update.u = static_cast<VertexId>(u);
-    update.v = static_cast<VertexId>(v);
-    updates.push_back(update);
+  if (!service::EdgeUpdatesFromJson(*json, "edges", &updates, &error)) {
+    return finish(JsonError(400, error));
   }
 
   bool seal = false;

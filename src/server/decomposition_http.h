@@ -11,6 +11,16 @@
 
 namespace receipt::server {
 
+/// {"status":"error","error":message} with HTTP `status`. 429 and 503 also
+/// carry Retry-After, so well-behaved clients back off instead of
+/// retry-storming. Shared by every JSON route, cluster routes included.
+HttpResponse JsonError(int status, const std::string& message);
+
+/// Service terminal status -> HTTP status. Cancellation surfaces as 499
+/// (client-closed-request): the only cancels a connected client can see
+/// are non-drain shutdown races.
+int HttpStatusFor(service::Status status);
+
 /// The JSON endpoint surface over GraphRegistry + DecompositionService —
 /// the piece that turns the in-process serving layer into a network
 /// service. Registers its routes on an HttpServer; the caller owns all

@@ -671,30 +671,11 @@ Status DecompositionService::RegisterGraph(const std::string& name,
                                            BipartiteGraph graph,
                                            uint64_t* epoch_out,
                                            std::string* error) {
-  if (name.empty()) {
-    if (error != nullptr) *error = "graph name must not be empty";
-    return Status::kBadRequest;
-  }
-  const GraphHandle previous = registry_->Acquire(name);
   const uint64_t epoch = registry_->AllocateEpoch();
-  if (durability_ != nullptr) {
-    // Journal before install: an acknowledged registration must already be
-    // replayable. Failure means nothing was installed — unacknowledged,
-    // consistently absent on both sides of a crash.
-    std::string log_error;
-    if (!durability_->LogRegister(name, epoch, graph.num_u(), graph.num_v(),
-                                  graph.ToEdges(), &log_error)) {
-      if (error != nullptr) *error = "durability: " + log_error;
-      return Status::kShutdown;
-    }
-  }
-  registry_->RegisterAtEpoch(name, std::move(graph), epoch);
-  // Results computed on the superseded registration are unreachable via
-  // the new epoch; free their cache bytes eagerly. Resident live state
-  // resyncs lazily on its next Track/ApplyEdges (same as before).
-  if (previous) cache_.DropEpoch(previous.epoch());
-  if (epoch_out != nullptr) *epoch_out = epoch;
-  return Status::kOk;
+  const Status status =
+      RegisterGraphAtEpoch(name, std::move(graph), epoch, error);
+  if (status == Status::kOk && epoch_out != nullptr) *epoch_out = epoch;
+  return status;
 }
 
 Status DecompositionService::RegisterGraphAtEpoch(const std::string& name,
@@ -711,6 +692,9 @@ Status DecompositionService::RegisterGraphAtEpoch(const std::string& name,
   }
   const GraphHandle previous = registry_->Acquire(name);
   if (durability_ != nullptr) {
+    // Journal before install: an acknowledged registration must already be
+    // replayable. Failure means nothing was installed — unacknowledged,
+    // consistently absent on both sides of a crash.
     std::string log_error;
     if (!durability_->LogRegister(name, epoch, graph.num_u(), graph.num_v(),
                                   graph.ToEdges(), &log_error)) {
@@ -719,7 +703,10 @@ Status DecompositionService::RegisterGraphAtEpoch(const std::string& name,
     }
   }
   registry_->RegisterAtEpoch(name, std::move(graph), epoch);
-  live_->DropState(name);
+  // Results computed on the superseded registration are unreachable via
+  // the new epoch; free their cache bytes eagerly. Resident live state
+  // keeps its tracked configs and resyncs on its next write, export or
+  // snapshot (LiveGraphManager's one registration rule).
   if (previous) cache_.DropEpoch(previous.epoch());
   return Status::kOk;
 }

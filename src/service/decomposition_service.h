@@ -248,12 +248,9 @@ class DecompositionService {
 
   GraphRegistry& registry() { return *registry_; }
 
-  /// Durable registration: journals the graph (name, epoch, shape, full
-  /// edge list) *before* reporting success, so a crash after the ack
-  /// replays it. Without a data dir this is plain registry registration.
-  /// On a failed journal append the registration is rolled back and
-  /// kShutdown returned — never acknowledged-then-lost. `epoch_out`
-  /// (optional) receives the installed epoch.
+  /// Durable registration at a freshly allocated epoch: AllocateEpoch plus
+  /// RegisterGraphAtEpoch. `epoch_out` (optional) receives the installed
+  /// epoch.
   Status RegisterGraph(const std::string& name, BipartiteGraph graph,
                        uint64_t* epoch_out, std::string* error);
 
@@ -261,12 +258,17 @@ class DecompositionService {
   Status RegisterGraphFile(const std::string& name, const std::string& path,
                            uint64_t* epoch_out, std::string* error);
 
-  /// Replication: installs `graph` at an epoch dictated by the shard
-  /// owner instead of allocating one locally. Journals the registration
-  /// at that epoch (journal-before-ack, like RegisterGraph), so a
-  /// follower that crashes rejoins from its own data dir at the recorded
-  /// (graph, epoch) without peer resync. Resident live state for the name
-  /// is dropped — the replicated registration supersedes it.
+  /// The one registration path: installs `graph` at `epoch` (allocated
+  /// locally by RegisterGraph, or dictated by the shard owner for a
+  /// replicated register or sync). Journals the graph (name, epoch, shape,
+  /// full edge list) *before* installing it, so a crash after the ack
+  /// replays it and a follower rejoins from its own data dir at the
+  /// recorded (graph, epoch) without peer resync. On a failed journal
+  /// append nothing is installed and kShutdown is returned — never
+  /// acknowledged-then-lost. Resident live state follows the one rule for
+  /// every registration (local, replicated or journaled): it keeps its
+  /// tracked configs and resyncs lazily with invalidated baselines, so the
+  /// next seal of each config is a full run with bit-identical numbers.
   Status RegisterGraphAtEpoch(const std::string& name, BipartiteGraph graph,
                               uint64_t epoch, std::string* error);
 

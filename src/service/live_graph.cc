@@ -140,6 +140,90 @@ Status LiveGraphManager::Track(const std::string& name,
   return TrackLocked(*state, config, threads, error);
 }
 
+bool LiveGraphManager::ResyncLocked(LiveGraphState& state,
+                                    std::string* error) {
+  GraphHandle current = registry_->Acquire(state.name);
+  if (!current) {
+    if (error != nullptr) {
+      *error = "graph '" + state.name + "' is not registered";
+    }
+    return false;
+  }
+  // Identity, not epoch: the state pins its registration, so a different
+  // graph object is always a registration this state has not seen — even
+  // one installed at the epoch it already holds.
+  if (&current.graph() == &state.handle.graph()) return true;
+  state.edges = current.graph().ToEdges();
+  state.handle = std::move(current);
+  state.first_pending_ns = 0;
+  for (auto& [config, baseline] : state.tip) baseline.valid = false;
+  for (auto& [config, baseline] : state.wing) baseline.valid = false;
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.pending_edges -= state.pending.size();
+  pending_gauge_->Set(stats_.pending_edges);
+  state.pending.clear();
+  return true;
+}
+
+bool LiveGraphManager::BufferLocked(LiveGraphState& state,
+                                    std::span<const EdgeUpdate> updates,
+                                    uint64_t expected_epoch,
+                                    ApplyResult* result) {
+  auto reject = [&](Status status, std::string error) {
+    result->status = status;
+    result->error = std::move(error);
+    result->pending = state.pending.size();
+    return false;
+  };
+  if (std::string error; !ResyncLocked(state, &error)) {
+    return reject(Status::kNotFound, std::move(error));
+  }
+  const uint64_t epoch = state.handle.epoch();
+  result->epoch = epoch;
+  if (expected_epoch != 0 && epoch != expected_epoch) {
+    return reject(Status::kBadRequest,
+                  "epoch chain mismatch: graph '" + state.name + "' is at " +
+                      std::to_string(epoch) + ", the batch expects " +
+                      std::to_string(expected_epoch));
+  }
+  const BipartiteGraph& graph = state.handle.graph();
+  for (const EdgeUpdate& update : updates) {
+    if (update.u >= graph.num_u() || update.v >= graph.num_v()) {
+      return reject(Status::kBadRequest,
+                    "edge (" + std::to_string(update.u) + ", " +
+                        std::to_string(update.v) +
+                        ") lies outside the registered shape; re-register "
+                        "the graph to grow it");
+    }
+  }
+  if (!updates.empty()) {
+    // Write-ahead: the batch must be durable before it is buffered,
+    // because buffering is what makes it acknowledged. A failed append
+    // rejects the whole batch — the journal has already rolled its tail
+    // back, so the on-disk record set stays exactly the acknowledged set.
+    if (durability_ != nullptr) {
+      std::string log_error;
+      if (!durability_->LogEdgeBatch(state.name, epoch, ToEdgeOps(updates),
+                                     &log_error)) {
+        return reject(Status::kShutdown, "durability: " + log_error);
+      }
+    }
+    if (state.pending.empty()) {
+      state.first_pending_ns = obs::TraceRecorder::NowNs();
+    }
+    state.pending.insert(state.pending.end(), updates.begin(), updates.end());
+    updates_total_->Increment(updates.size());
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.batches_total;
+    stats_.updates_total += updates.size();
+    stats_.pending_edges += updates.size();
+    pending_gauge_->Set(stats_.pending_edges);
+  }
+  result->accepted = updates.size();
+  result->pending = state.pending.size();
+  return true;
+}
+
 Status LiveGraphManager::TrackLocked(LiveGraphState& state,
                                      const LiveConfig& config, int threads,
                                      std::string* error) {
@@ -147,75 +231,29 @@ Status LiveGraphManager::TrackLocked(LiveGraphState& state,
     if (error != nullptr) *error = "partitions must be positive";
     return Status::kBadRequest;
   }
-  // An external re-registration (a new epoch under this name) obsoletes the
-  // resident edge list and every baseline: resync before building on it.
-  GraphHandle current = registry_->Acquire(state.name);
-  if (!current) {
-    if (error != nullptr) {
-      *error = "graph '" + state.name + "' is not registered";
-    }
-    return Status::kNotFound;
-  }
-  if (current.epoch() != state.handle.epoch()) {
-    state.edges = current.graph().ToEdges();
-    state.handle = std::move(current);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.pending_edges -= state.pending.size();
-    }
-    state.pending.clear();
-    state.first_pending_ns = 0;
-    for (auto& [cfg, b] : state.tip) b.valid = false;
-    for (auto& [cfg, b] : state.wing) b.valid = false;
-    pending_gauge_->Set(stats().pending_edges);
-  }
+  if (!ResyncLocked(state, error)) return Status::kNotFound;
 
+  // A from-scratch build is a seal run with nothing to reuse: an invalid
+  // baseline and no changed edges.
   threads = threads > 0 ? threads : std::max(1, options_.seal_threads);
   const BipartiteGraph& graph = state.handle.graph();
-  PeelStats stats;
+  SealConfigReport report;
   std::shared_ptr<Payload> payload;
-  Algorithm algorithm = Algorithm::kReceipt;
   if (config.kind == RequestKind::kWing) {
-    algorithm = Algorithm::kReceiptWing;
-    Baseline<EdgeOffset>& b = state.wing[config];
-    const ReceiptWingOptions options =
-        WingSealOptions(config, threads, &state.pool);
-    WingIncremental inc;
-    inc.record = &b.log;
-    inc.initial_support = &b.old_support;
-    b.sealed = ReceiptWingCoarse(graph, options, &stats, inc);
-    b.numbers.assign(graph.num_edges(), 0);
-    ReceiptWingFine(graph, b.sealed, options, std::span<Count>(b.numbers),
-                    &stats, {});
-    b.valid = b.log.valid;
-    payload = std::make_shared<Payload>();
-    payload->numbers = b.numbers;
+    Baseline<EdgeOffset>& baseline = state.wing[config];
+    baseline.valid = false;
+    payload = SealWing(state, config, baseline, graph, graph, {}, {}, threads,
+                       &report);
   } else {
-    Baseline<VertexId>& b = state.tip[config];
-    const bool v_side = config.kind == RequestKind::kTipV;
-    BipartiteGraph swapped;
-    const BipartiteGraph* oriented = &graph;
-    if (v_side) {
-      swapped = graph.SwappedCopy();
-      oriented = &swapped;
-    }
-    const TipOptions options = TipSealOptions(config, threads, &state.pool);
-    CdIncremental inc;
-    inc.record = &b.log;
-    inc.initial_support = &b.old_support;
-    b.sealed = ReceiptCd(*oriented, options, state.pool, &stats, inc);
-    b.numbers.assign(oriented->num_u(), 0);
-    ReceiptFd(*oriented, b.sealed, options, state.pool,
-              std::span<Count>(b.numbers), &stats, {});
-    b.valid = b.log.valid;
-    payload = std::make_shared<Payload>();
-    payload->numbers = b.numbers;
+    Baseline<VertexId>& baseline = state.tip[config];
+    baseline.valid = false;
+    payload =
+        SealTip(state, config, baseline, graph, graph, {}, threads, &report);
   }
-  payload->stats = stats;
   // A tracked configuration is always answerable from cache on the sealed
   // epoch — starting with the one its baseline was just built on.
   cache_->Put(CacheKey{state.name, state.handle.epoch(), config.kind,
-                       algorithm, config.partitions},
+                       AlgorithmFor(config.kind), config.partitions},
               std::move(payload));
   return Status::kOk;
 }
@@ -240,50 +278,9 @@ ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
       return result;
     }
   }
-
-  const BipartiteGraph& graph = state->handle.graph();
-  result.epoch = state->handle.epoch();
-  for (const EdgeUpdate& update : updates) {
-    if (update.u >= graph.num_u() || update.v >= graph.num_v()) {
-      result.status = Status::kBadRequest;
-      result.error = "edge (" + std::to_string(update.u) + ", " +
-                     std::to_string(update.v) +
-                     ") lies outside the registered shape; re-register the "
-                     "graph to grow it";
-      result.pending = state->pending.size();
-      return result;
-    }
+  if (!BufferLocked(*state, updates, /*expected_epoch=*/0, &result)) {
+    return result;
   }
-
-  // Write-ahead: the batch must be durable before it is buffered, because
-  // buffering is what makes it acknowledged. A failed append rejects the
-  // whole batch — the journal has already rolled its tail back, so the
-  // on-disk record set stays exactly the acknowledged set.
-  if (durability_ != nullptr && !updates.empty()) {
-    std::string log_error;
-    if (!durability_->LogEdgeBatch(name, state->handle.epoch(),
-                                   ToEdgeOps(updates), &log_error)) {
-      result.status = Status::kShutdown;
-      result.error = "durability: " + log_error;
-      result.pending = state->pending.size();
-      return result;
-    }
-  }
-
-  if (!updates.empty()) {
-    if (state->pending.empty()) {
-      state->first_pending_ns = obs::TraceRecorder::NowNs();
-    }
-    state->pending.insert(state->pending.end(), updates.begin(),
-                          updates.end());
-    updates_total_->Increment(updates.size());
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.batches_total;
-    stats_.updates_total += updates.size();
-    stats_.pending_edges += updates.size();
-  }
-  result.accepted = updates.size();
-  result.pending = state->pending.size();
 
   bool seal = force_seal;
   if (state->pending.size() >= options_.max_pending_edges) seal = true;
@@ -292,14 +289,7 @@ ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
         obs::TraceRecorder::NowNs() - state->first_pending_ns;
     if (age_ns / 1'000'000 >= options_.max_staleness_ms) seal = true;
   }
-  if (seal && !state->pending.empty()) {
-    SealLocked(*state, threads, &result);
-    result.pending = 0;
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    pending_gauge_->Set(stats_.pending_edges);
-  }
+  if (seal && !state->pending.empty()) SealLocked(*state, threads, &result);
   return result;
 }
 
@@ -307,6 +297,11 @@ ApplyResult LiveGraphManager::ApplyReplicated(
     const std::string& name, std::span<const EdgeUpdate> updates, bool seal,
     uint64_t expected_epoch, uint64_t sealed_epoch, int threads) {
   ApplyResult result;
+  if (expected_epoch == 0) {  // 0 would let BufferLocked skip the check
+    result.status = Status::kBadRequest;
+    result.error = "a replicated batch needs a positive expected epoch";
+    return result;
+  }
   LiveGraphState* state = GetOrCreateState(name);
   if (state == nullptr) {
     result.status = Status::kNotFound;
@@ -314,73 +309,19 @@ ApplyResult LiveGraphManager::ApplyReplicated(
     return result;
   }
   std::lock_guard<std::mutex> lock(state->mu);
-  result.epoch = state->handle.epoch();
-  if (state->handle.epoch() != expected_epoch) {
-    result.status = Status::kBadRequest;
-    result.error = "epoch chain mismatch: graph '" + name + "' is at " +
-                   std::to_string(state->handle.epoch()) +
-                   ", owner expected " + std::to_string(expected_epoch);
-    result.pending = state->pending.size();
-    return result;
-  }
   if (seal && sealed_epoch <= expected_epoch) {
     result.status = Status::kBadRequest;
     result.error = "sealed epoch " + std::to_string(sealed_epoch) +
                    " must exceed the pre-seal epoch " +
                    std::to_string(expected_epoch);
+    result.epoch = state->handle.epoch();
     result.pending = state->pending.size();
     return result;
   }
-  const BipartiteGraph& graph = state->handle.graph();
-  for (const EdgeUpdate& update : updates) {
-    if (update.u >= graph.num_u() || update.v >= graph.num_v()) {
-      result.status = Status::kBadRequest;
-      result.error = "replicated edge (" + std::to_string(update.u) + ", " +
-                     std::to_string(update.v) +
-                     ") lies outside the registered shape";
-      result.pending = state->pending.size();
-      return result;
-    }
-  }
-
-  // Same journal-before-buffer contract as ApplyEdges: once this follower
-  // acks the batch to the owner, its own recovery must reproduce it.
-  if (durability_ != nullptr && !updates.empty()) {
-    std::string log_error;
-    if (!durability_->LogEdgeBatch(name, state->handle.epoch(),
-                                   ToEdgeOps(updates), &log_error)) {
-      result.status = Status::kShutdown;
-      result.error = "durability: " + log_error;
-      result.pending = state->pending.size();
-      return result;
-    }
-  }
-  if (!updates.empty()) {
-    if (state->pending.empty()) {
-      state->first_pending_ns = obs::TraceRecorder::NowNs();
-    }
-    state->pending.insert(state->pending.end(), updates.begin(),
-                          updates.end());
-    updates_total_->Increment(updates.size());
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.batches_total;
-    stats_.updates_total += updates.size();
-    stats_.pending_edges += updates.size();
-  }
-  result.accepted = updates.size();
-  result.pending = state->pending.size();
-
+  if (!BufferLocked(*state, updates, expected_epoch, &result)) return result;
   // No policy seal here — a follower seals exactly when the owner sealed,
   // at the owner's epoch, or the replica chains diverge.
-  if (seal) {
-    SealLocked(*state, threads, &result, sealed_epoch,
-               /*journal_pinned=*/true);
-    result.pending = 0;
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    pending_gauge_->Set(stats_.pending_edges);
-  }
+  if (seal) SealLocked(*state, threads, &result, sealed_epoch);
   return result;
 }
 
@@ -389,6 +330,7 @@ bool LiveGraphManager::ExportState(const std::string& name,
   LiveGraphState* state = GetOrCreateState(name);
   if (state == nullptr) return false;
   std::lock_guard<std::mutex> lock(state->mu);
+  if (!ResyncLocked(*state, nullptr)) return false;
   out->epoch = state->handle.epoch();
   out->num_u = state->handle.graph().num_u();
   out->num_v = state->handle.graph().num_v();
@@ -398,8 +340,7 @@ bool LiveGraphManager::ExportState(const std::string& name,
 }
 
 void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
-                                  ApplyResult* result, uint64_t pinned_epoch,
-                                  bool journal_pinned) {
+                                  ApplyResult* result, uint64_t pinned_epoch) {
   const WallTimer timer;
   threads = threads > 0 ? threads : std::max(1, options_.seal_threads);
   const GraphHandle old_handle = state.handle;  // keeps the old graph alive
@@ -479,20 +420,15 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
   // old snapshot; everything after resolves to the sealed graph. The epoch
   // transition is journaled *before* the install: a crash in between
   // replays as the same seal pinned to the same epoch, so the recovered
-  // chain is numbered identically. A failed seal append leaves the journal
-  // fail-stop broken — the in-memory seal still completes, and the broken
-  // journal surfaces on the next batch as an unacknowledged 503.
+  // chain is numbered identically. A replicated seal is journaled too — it
+  // is new history for this process even though the epoch was minted
+  // elsewhere. A failed seal append leaves the journal fail-stop broken —
+  // the in-memory seal still completes, and the broken journal surfaces on
+  // the next batch as an unacknowledged 503.
   const uint64_t old_epoch = old_handle.epoch();
-  uint64_t new_epoch = pinned_epoch;
-  if (new_epoch == 0) {
-    new_epoch = registry_->AllocateEpoch();
-    if (durability_ != nullptr) {
-      std::string log_error;
-      durability_->LogSeal(state.name, old_epoch, new_epoch, &log_error);
-    }
-  } else if (journal_pinned && durability_ != nullptr) {
-    // A replicated seal is new history for *this* process even though the
-    // epoch was minted elsewhere — journal it so recovery replays it.
+  const uint64_t new_epoch =
+      pinned_epoch != 0 ? pinned_epoch : registry_->AllocateEpoch();
+  if (durability_ != nullptr) {
     std::string log_error;
     durability_->LogSeal(state.name, old_epoch, new_epoch, &log_error);
   }
@@ -512,6 +448,7 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
 
   result->sealed = true;
   result->epoch = new_epoch;
+  result->pending = 0;
   result->seal_seconds = timer.Seconds();
   seal_seconds_->ObserveSeconds(result->seal_seconds);
 
@@ -521,6 +458,7 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.seals_total;
     stats_.pending_edges -= folded;
+    pending_gauge_->Set(stats_.pending_edges);
     for (const SealConfigReport& report : result->reports) {
       if (report.incremental) {
         ++stats_.runs_incremental;
@@ -542,13 +480,39 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
   }
 
   // Snapshot-on-seal compacts the journal to (roughly) one snapshot per
-  // graph plus the records since. Replayed seals skip it: recovery writes
-  // nothing until the process is serving again.
-  if ((pinned_epoch == 0 || journal_pinned) && durability_ != nullptr &&
-      durability_->snapshot_on_seal()) {
+  // graph plus the records since. Replayed seals skip it because recovery
+  // attaches durability only after replay: it writes nothing until the
+  // process is serving again.
+  if (durability_ != nullptr && durability_->snapshot_on_seal()) {
     std::string snap_error;
     WriteSnapshotLocked(state, &snap_error);
   }
+}
+
+template <typename Id>
+std::shared_ptr<Payload> LiveGraphManager::InstallRun(
+    const LiveConfig& config, const engine::IncrementalOutcome* outcome,
+    const PeelStats& stats, Baseline<Id> next, Baseline<Id>* baseline,
+    SealConfigReport* report) {
+  const uint64_t subsets = next.sealed.subsets.size();
+  report->config = config;
+  report->subsets_total = subsets;
+  report->incremental = outcome != nullptr && !outcome->fell_back_full;
+  if (outcome != nullptr) {
+    report->ranges_reused = outcome->ranges_reused;
+    report->ranges_repeeled = outcome->ranges_repeeled;
+    report->subsets_repeeled = CountNonZero(outcome->subset_dirty);
+  } else {
+    report->ranges_repeeled = subsets;
+    report->subsets_repeeled = subsets;
+  }
+
+  next.valid = next.log.valid;
+  auto payload = std::make_shared<Payload>();
+  payload->numbers = next.numbers;
+  payload->stats = stats;
+  *baseline = std::move(next);
+  return payload;
 }
 
 std::shared_ptr<Payload> LiveGraphManager::SealTip(
@@ -558,32 +522,11 @@ std::shared_ptr<Payload> LiveGraphManager::SealTip(
     int threads, SealConfigReport* report) {
   const bool v_side = config.kind == RequestKind::kTipV;
   const VertexId n = v_side ? new_graph.num_v() : new_graph.num_u();
-
-  // Structural dirty set: for each changed edge (u, v), the peeled-side
-  // endpoint plus every peeled-side vertex that shares the opposite
-  // endpoint in either the old or the new graph. Every butterfly the batch
-  // created or destroyed has all of its peelable vertices inside this set,
-  // which is exactly what the engine's clean-range proof requires.
-  std::vector<uint8_t> dirty(n, 0);
-  for (const Edge& e : changed) {
-    if (!v_side) {
-      dirty[e.u] = 1;
-      for (const VertexId w : old_graph.Neighbors(old_graph.VGlobal(e.v))) {
-        dirty[w] = 1;
-      }
-      for (const VertexId w : new_graph.Neighbors(new_graph.VGlobal(e.v))) {
-        dirty[w] = 1;
-      }
-    } else {
-      dirty[e.v] = 1;
-      for (const VertexId w : old_graph.Neighbors(e.u)) {
-        dirty[w - old_graph.num_u()] = 1;
-      }
-      for (const VertexId w : new_graph.Neighbors(e.u)) {
-        dirty[w - new_graph.num_u()] = 1;
-      }
-    }
-  }
+  // Tip entity ids are stable across seals (the shape is fixed), so the
+  // baseline seeds the run as-is.
+  const bool seeded = baseline.valid && baseline.log.valid &&
+                      baseline.old_support.size() == n &&
+                      baseline.numbers.size() == n;
 
   BipartiteGraph swapped;
   const BipartiteGraph* oriented = &new_graph;
@@ -594,19 +537,40 @@ std::shared_ptr<Payload> LiveGraphManager::SealTip(
 
   const TipOptions options = TipSealOptions(config, threads, &state.pool);
   PeelStats stats;
+  Baseline<VertexId> next;
   engine::IncrementalSeed<VertexId> seed;
   engine::IncrementalOutcome outcome;
-  engine::CoarsePatchLog new_log;
-  std::vector<Count> new_initial;
   CdIncremental inc;
-  inc.record = &new_log;
-  inc.initial_support = &new_initial;
-  // Tip entity ids are stable across seals (the shape is fixed), so the
-  // baseline seeds the run as-is.
-  const bool seeded = baseline.valid && baseline.log.valid &&
-                      baseline.old_support.size() == n &&
-                      baseline.numbers.size() == n;
+  inc.record = &next.log;
+  inc.initial_support = &next.old_support;
+  std::vector<uint8_t> dirty;  // the seed's structural dirty set
   if (seeded) {
+    // Structural dirty set: for each changed edge (u, v), the peeled-side
+    // endpoint plus every peeled-side vertex that shares the opposite
+    // endpoint in either the old or the new graph. Every butterfly the
+    // batch created or destroyed has all of its peelable vertices inside
+    // this set, which is exactly what the engine's clean-range proof
+    // requires.
+    dirty.assign(n, 0);
+    for (const Edge& e : changed) {
+      if (!v_side) {
+        dirty[e.u] = 1;
+        for (const VertexId w : old_graph.Neighbors(old_graph.VGlobal(e.v))) {
+          dirty[w] = 1;
+        }
+        for (const VertexId w : new_graph.Neighbors(new_graph.VGlobal(e.v))) {
+          dirty[w] = 1;
+        }
+      } else {
+        dirty[e.v] = 1;
+        for (const VertexId w : old_graph.Neighbors(e.u)) {
+          dirty[w - old_graph.num_u()] = 1;
+        }
+        for (const VertexId w : new_graph.Neighbors(e.u)) {
+          dirty[w - new_graph.num_u()] = 1;
+        }
+      }
+    }
     seed.sealed = &baseline.sealed;
     seed.log = &baseline.log;
     seed.old_support = baseline.old_support;
@@ -615,41 +579,19 @@ std::shared_ptr<Payload> LiveGraphManager::SealTip(
     inc.seed = &seed;
     inc.outcome = &outcome;
   }
-  CdResult cd = ReceiptCd(*oriented, options, state.pool, &stats, inc);
+  next.sealed = ReceiptCd(*oriented, options, state.pool, &stats, inc);
 
-  std::vector<Count> numbers;
   std::span<const uint8_t> only;
   if (seeded) {
-    numbers = baseline.numbers;  // clean subsets keep their sealed numbers
+    next.numbers = baseline.numbers;  // clean subsets keep sealed numbers
     only = outcome.subset_dirty;
   } else {
-    numbers.assign(n, 0);
+    next.numbers.assign(n, 0);
   }
-  ReceiptFd(*oriented, cd, options, state.pool, std::span<Count>(numbers),
-            &stats, only);
-
-  report->config = config;
-  report->subsets_total = cd.subsets.size();
-  report->incremental = seeded && !outcome.fell_back_full;
-  if (seeded) {
-    report->ranges_reused = outcome.ranges_reused;
-    report->ranges_repeeled = outcome.ranges_repeeled;
-    report->subsets_repeeled = CountNonZero(outcome.subset_dirty);
-  } else {
-    report->ranges_repeeled = cd.subsets.size();
-    report->subsets_repeeled = cd.subsets.size();
-  }
-
-  baseline.sealed = std::move(cd);
-  baseline.log = std::move(new_log);
-  baseline.old_support = std::move(new_initial);
-  baseline.numbers = numbers;
-  baseline.valid = baseline.log.valid;
-
-  auto payload = std::make_shared<Payload>();
-  payload->numbers = std::move(numbers);
-  payload->stats = stats;
-  return payload;
+  ReceiptFd(*oriented, next.sealed, options, state.pool,
+            std::span<Count>(next.numbers), &stats, only);
+  return InstallRun(config, seeded ? &outcome : nullptr, stats,
+                    std::move(next), &baseline, report);
 }
 
 std::shared_ptr<Payload> LiveGraphManager::SealWing(
@@ -659,41 +601,53 @@ std::shared_ptr<Payload> LiveGraphManager::SealWing(
     std::span<const EdgeOffset> old_to_new, int threads,
     SealConfigReport* report) {
   const uint64_t new_m = new_graph.num_edges();
-
-  // Structural dirty set over edges: every edge incident to a U vertex
-  // that any changed butterfly can touch — the changed edges' U endpoints
-  // plus the old/new U-neighborhoods of their V endpoints. Edge ids of a
-  // U vertex are its contiguous U-side CSR slots.
-  std::vector<uint8_t> marked_u(new_graph.num_u(), 0);
-  for (const Edge& e : changed) {
-    marked_u[e.u] = 1;
-    for (const VertexId w : old_graph.Neighbors(old_graph.VGlobal(e.v))) {
-      marked_u[w] = 1;
-    }
-    for (const VertexId w : new_graph.Neighbors(new_graph.VGlobal(e.v))) {
-      marked_u[w] = 1;
-    }
-  }
-  std::vector<uint8_t> dirty(new_m, 0);
-  const std::span<const EdgeOffset> offsets = new_graph.offsets();
-  for (VertexId u = 0; u < new_graph.num_u(); ++u) {
-    if (!marked_u[u]) continue;
-    for (EdgeOffset e = offsets[u]; e < offsets[u + 1]; ++e) dirty[e] = 1;
-  }
-
-  // Remap the sealed baseline into the new edge-id space. Deleted edges
-  // drop out of member lists and the patch log; a subset that lost a
-  // member no longer matches the sealed peel order, so it is force-dirty.
-  // Inserted edges carry the kInvalidCount did-not-exist sentinel.
-  engine::RangeResult<EdgeOffset> remapped;
-  engine::CoarsePatchLog remapped_log;
-  std::vector<uint8_t> force_dirty;
-  std::vector<Count> old_support_new;
-  std::vector<Count> numbers_new;
   const bool seeded = baseline.valid && baseline.log.valid &&
                       baseline.old_support.size() == old_to_new.size() &&
                       baseline.numbers.size() == old_to_new.size();
+
+  const ReceiptWingOptions options =
+      WingSealOptions(config, threads, &state.pool);
+  PeelStats stats;
+  Baseline<EdgeOffset> next;
+  engine::IncrementalSeed<EdgeOffset> seed;
+  engine::IncrementalOutcome outcome;
+  WingIncremental inc;
+  inc.record = &next.log;
+  inc.initial_support = &next.old_support;
+  // What the seed points into, filled only when seeded: the sealed
+  // baseline remapped into the new edge-id space plus the dirty sets.
+  engine::RangeResult<EdgeOffset> remapped;
+  engine::CoarsePatchLog remapped_log;
+  std::vector<Count> old_support;
+  std::vector<uint8_t> dirty;
+  std::vector<uint8_t> force_dirty;
   if (seeded) {
+    // Structural dirty set over edges: every edge incident to a U vertex
+    // that any changed butterfly can touch — the changed edges' U
+    // endpoints plus the old/new U-neighborhoods of their V endpoints.
+    // Edge ids of a U vertex are its contiguous U-side CSR slots.
+    std::vector<uint8_t> marked_u(new_graph.num_u(), 0);
+    for (const Edge& e : changed) {
+      marked_u[e.u] = 1;
+      for (const VertexId w : old_graph.Neighbors(old_graph.VGlobal(e.v))) {
+        marked_u[w] = 1;
+      }
+      for (const VertexId w : new_graph.Neighbors(new_graph.VGlobal(e.v))) {
+        marked_u[w] = 1;
+      }
+    }
+    dirty.assign(new_m, 0);
+    const std::span<const EdgeOffset> offsets = new_graph.offsets();
+    for (VertexId u = 0; u < new_graph.num_u(); ++u) {
+      if (!marked_u[u]) continue;
+      for (EdgeOffset e = offsets[u]; e < offsets[u + 1]; ++e) dirty[e] = 1;
+    }
+
+    // Remap the sealed baseline into the new edge-id space. Deleted edges
+    // drop out of member lists and the patch log; a subset that lost a
+    // member no longer matches the sealed peel order, so it is
+    // force-dirty. Inserted edges carry the kInvalidCount did-not-exist
+    // sentinel.
     remapped.bounds = baseline.sealed.bounds;
     const size_t num_subsets = baseline.sealed.subsets.size();
     remapped.subsets.resize(num_subsets);
@@ -725,72 +679,34 @@ std::shared_ptr<Payload> LiveGraphManager::SealWing(
         }
       }
     }
-    old_support_new.assign(new_m, kInvalidCount);
-    numbers_new.assign(new_m, 0);
+    // Clean subsets keep their sealed numbers.
+    old_support.assign(new_m, kInvalidCount);
+    next.numbers.assign(new_m, 0);
     for (size_t i = 0; i < old_to_new.size(); ++i) {
       if (old_to_new[i] != kNoEdge) {
-        old_support_new[old_to_new[i]] = baseline.old_support[i];
-        numbers_new[old_to_new[i]] = baseline.numbers[i];
+        old_support[old_to_new[i]] = baseline.old_support[i];
+        next.numbers[old_to_new[i]] = baseline.numbers[i];
       }
     }
-  }
-
-  const ReceiptWingOptions options =
-      WingSealOptions(config, threads, &state.pool);
-  PeelStats stats;
-  engine::IncrementalSeed<EdgeOffset> seed;
-  engine::IncrementalOutcome outcome;
-  engine::CoarsePatchLog new_log;
-  std::vector<Count> new_initial;
-  WingIncremental inc;
-  inc.record = &new_log;
-  inc.initial_support = &new_initial;
-  if (seeded) {
     seed.sealed = &remapped;
     seed.log = &remapped_log;
-    seed.old_support = old_support_new;
+    seed.old_support = old_support;
     seed.structural_dirty = dirty;
     seed.force_dirty_subset = force_dirty;
     seed.dirty_fraction_limit = options_.dirty_fraction_limit;
     inc.seed = &seed;
     inc.outcome = &outcome;
+  } else {
+    next.numbers.assign(new_m, 0);
   }
-  engine::RangeResult<EdgeOffset> coarse =
-      ReceiptWingCoarse(new_graph, options, &stats, inc);
+  next.sealed = ReceiptWingCoarse(new_graph, options, &stats, inc);
 
-  std::vector<Count> numbers;
   std::span<const uint8_t> only;
-  if (seeded) {
-    numbers = std::move(numbers_new);  // clean subsets keep sealed numbers
-    only = outcome.subset_dirty;
-  } else {
-    numbers.assign(new_m, 0);
-  }
-  ReceiptWingFine(new_graph, coarse, options, std::span<Count>(numbers),
-                  &stats, only);
-
-  report->config = config;
-  report->subsets_total = coarse.subsets.size();
-  report->incremental = seeded && !outcome.fell_back_full;
-  if (seeded) {
-    report->ranges_reused = outcome.ranges_reused;
-    report->ranges_repeeled = outcome.ranges_repeeled;
-    report->subsets_repeeled = CountNonZero(outcome.subset_dirty);
-  } else {
-    report->ranges_repeeled = coarse.subsets.size();
-    report->subsets_repeeled = coarse.subsets.size();
-  }
-
-  baseline.sealed = std::move(coarse);
-  baseline.log = std::move(new_log);
-  baseline.old_support = std::move(new_initial);
-  baseline.numbers = numbers;
-  baseline.valid = baseline.log.valid;
-
-  auto payload = std::make_shared<Payload>();
-  payload->numbers = std::move(numbers);
-  payload->stats = stats;
-  return payload;
+  if (seeded) only = outcome.subset_dirty;
+  ReceiptWingFine(new_graph, next.sealed, options,
+                  std::span<Count>(next.numbers), &stats, only);
+  return InstallRun(config, seeded ? &outcome : nullptr, stats,
+                    std::move(next), &baseline, report);
 }
 
 void LiveGraphManager::SetDurability(
@@ -807,24 +723,19 @@ bool LiveGraphManager::WriteSnapshotLocked(LiveGraphState& state,
   data.num_v = state.handle.graph().num_v();
   data.edges = state.edges;
   data.pending = ToEdgeOps(state.pending);
-  for (const auto& [config, baseline] : state.tip) {
-    durability::SnapshotConfig out;
-    out.kind = static_cast<uint8_t>(config.kind);
-    out.partitions = config.partitions;
-    out.numbers = baseline.numbers;
-    out.bounds = baseline.sealed.bounds;
-    out.old_support = baseline.old_support;
-    data.configs.push_back(std::move(out));
-  }
-  for (const auto& [config, baseline] : state.wing) {
-    durability::SnapshotConfig out;
-    out.kind = static_cast<uint8_t>(config.kind);
-    out.partitions = config.partitions;
-    out.numbers = baseline.numbers;
-    out.bounds = baseline.sealed.bounds;
-    out.old_support = baseline.old_support;
-    data.configs.push_back(std::move(out));
-  }
+  auto write_configs = [&data](const auto& baselines) {
+    for (const auto& [config, baseline] : baselines) {
+      durability::SnapshotConfig out;
+      out.kind = static_cast<uint8_t>(config.kind);
+      out.partitions = config.partitions;
+      out.numbers = baseline.numbers;
+      out.bounds = baseline.sealed.bounds;
+      out.old_support = baseline.old_support;
+      data.configs.push_back(std::move(out));
+    }
+  };
+  write_configs(state.tip);
+  write_configs(state.wing);
   return durability_->WriteSnapshot(&data, error);
 }
 
@@ -869,18 +780,17 @@ Status LiveGraphManager::RestoreSnapshot(const durability::SnapshotData& data,
     // Restored baselines carry the sealed numbers/bounds/supports but not
     // the patch log, so they cannot seed an incremental seal: valid stays
     // false and the next seal recomputes fully — bit-identical either way.
+    auto restore = [&](auto& baselines) {
+      auto& baseline = baselines[live];
+      baseline.numbers = config.numbers;
+      baseline.sealed.bounds = config.bounds;
+      baseline.old_support = config.old_support;
+      baseline.valid = false;
+    };
     if (live.kind == RequestKind::kWing) {
-      Baseline<EdgeOffset>& b = state->wing[live];
-      b.numbers = config.numbers;
-      b.sealed.bounds = config.bounds;
-      b.old_support = config.old_support;
-      b.valid = false;
+      restore(state->wing);
     } else {
-      Baseline<VertexId>& b = state->tip[live];
-      b.numbers = config.numbers;
-      b.sealed.bounds = config.bounds;
-      b.old_support = config.old_support;
-      b.valid = false;
+      restore(state->tip);
     }
     // The sealed numbers are servable immediately: prime the cache under
     // the restored epoch, exactly as the pre-crash seal did.
@@ -899,80 +809,6 @@ Status LiveGraphManager::RestoreSnapshot(const durability::SnapshotData& data,
     }
     stats_.pending_edges += state->pending.size();
     states_[data.graph] = std::move(state);
-    pending_gauge_->Set(stats_.pending_edges);
-  }
-  return Status::kOk;
-}
-
-Status LiveGraphManager::ReplayBatch(const std::string& name, uint64_t epoch,
-                                     std::span<const durability::EdgeOp>
-                                         updates,
-                                     std::string* error) {
-  LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) {
-    if (error != nullptr) {
-      *error = "journaled batch for unregistered graph '" + name + "'";
-    }
-    return Status::kNotFound;
-  }
-  std::lock_guard<std::mutex> lock(state->mu);
-  if (state->handle.epoch() != epoch) {
-    if (error != nullptr) {
-      *error = "epoch chain broken: batch for '" + name + "' recorded at " +
-               std::to_string(epoch) + ", graph is at " +
-               std::to_string(state->handle.epoch());
-    }
-    return Status::kBadRequest;
-  }
-  const BipartiteGraph& graph = state->handle.graph();
-  for (const auto& op : updates) {
-    if (op.u >= graph.num_u() || op.v >= graph.num_v()) {
-      if (error != nullptr) {
-        *error = "journaled batch for '" + name + "' has out-of-shape edges";
-      }
-      return Status::kBadRequest;
-    }
-  }
-  if (state->pending.empty() && !updates.empty()) {
-    state->first_pending_ns = obs::TraceRecorder::NowNs();
-  }
-  for (const auto& op : updates) {
-    state->pending.push_back({op.insert, op.u, op.v});
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.batches_total;
-    stats_.updates_total += updates.size();
-    stats_.pending_edges += updates.size();
-    pending_gauge_->Set(stats_.pending_edges);
-  }
-  return Status::kOk;
-}
-
-Status LiveGraphManager::ReplaySeal(const std::string& name,
-                                    uint64_t old_epoch, uint64_t new_epoch,
-                                    int threads, std::string* error) {
-  LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) {
-    if (error != nullptr) {
-      *error = "journaled seal for unregistered graph '" + name + "'";
-    }
-    return Status::kNotFound;
-  }
-  std::lock_guard<std::mutex> lock(state->mu);
-  if (state->handle.epoch() != old_epoch) {
-    if (error != nullptr) {
-      *error = "epoch chain broken: seal for '" + name + "' recorded as " +
-               std::to_string(old_epoch) + " -> " +
-               std::to_string(new_epoch) + ", graph is at " +
-               std::to_string(state->handle.epoch());
-    }
-    return Status::kBadRequest;
-  }
-  ApplyResult result;
-  SealLocked(*state, threads, &result, new_epoch);
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
     pending_gauge_->Set(stats_.pending_edges);
   }
   return Status::kOk;
@@ -1000,6 +836,7 @@ Status LiveGraphManager::SnapshotNow(const std::string& name,
     return Status::kNotFound;
   }
   std::lock_guard<std::mutex> lock(state->mu);
+  if (!ResyncLocked(*state, error)) return Status::kNotFound;
   return WriteSnapshotLocked(*state, error) ? Status::kOk : Status::kShutdown;
 }
 

@@ -20,15 +20,6 @@
 
 namespace receipt::service {
 
-/// One edge mutation against a live graph, in side-local coordinates.
-/// Inserting an existing edge or deleting an absent one is a no-op; within
-/// a batch the last operation on a (u, v) pair wins.
-struct EdgeUpdate {
-  bool insert = true;
-  VertexId u = 0;
-  VertexId v = 0;
-};
-
 /// Seal policy and engine knobs for the live-update path.
 struct LiveOptions {
   /// Seal (fold the pending batch into a new epoch) once this many updates
@@ -71,14 +62,17 @@ struct SealConfigReport {
   uint64_t subsets_total = 0;
 };
 
-/// Result of one ApplyEdges call.
+/// Result of one ApplyEdges / ApplyReplicated call.
 struct ApplyResult {
   Status status = Status::kOk;
   std::string error;          ///< set when status != kOk
   size_t accepted = 0;        ///< updates buffered by this call
   size_t pending = 0;         ///< buffered updates after this call
   bool sealed = false;        ///< this call folded the buffer into an epoch
-  uint64_t epoch = 0;         ///< current registry epoch (new when sealed)
+  /// Current registry epoch (new when sealed). On a rejected
+  /// ApplyReplicated it is the local epoch, so a caller detects a diverged
+  /// chain as `epoch != expected_epoch`.
+  uint64_t epoch = 0;
   double seal_seconds = 0.0;  ///< wall time of the seal, 0 when not sealed
   std::vector<SealConfigReport> reports;  ///< one per tracked config
 };
@@ -100,6 +94,16 @@ struct ApplyResult {
 /// decomposition serving. Sealing also primes the ResultCache with the new
 /// epoch's numbers and drops the dead epoch's entries, so a post-seal
 /// decompose of a tracked configuration is a cache hit, never a recompute.
+///
+/// One write path: local batches (ApplyEdges), batches a shard owner
+/// replicates (ApplyReplicated) and journaled batches recovery replays
+/// (also ApplyReplicated, with the journal as the owner) all go through
+/// one buffer routine and one seal routine. Every write, export and
+/// snapshot first resyncs the resident state against the registry: a
+/// registration — local, replicated or journaled — replaces the edge list
+/// and drops the pending buffer but keeps the tracked configurations, with
+/// their baselines invalidated, so the next seal of each is a full run
+/// (bit-identical numbers either way).
 ///
 /// Thread safety: per-graph state is guarded by a per-state mutex (seals
 /// of different graphs proceed concurrently); the registry and cache are
@@ -130,15 +134,18 @@ class LiveGraphManager {
                          int threads = 0,
                          std::span<const LiveConfig> track = {});
 
-  /// Replication: applies a batch the shard owner already accepted,
-  /// journaled under the owner's epochs. Unlike ApplyEdges this never
-  /// policy-seals — the owner dictates every seal point — and unlike the
-  /// recovery Replay* paths it *does* journal (batch at `expected_epoch`,
-  /// seal as `expected_epoch` -> `sealed_epoch`) and snapshots on seal, so
-  /// a follower rejoins from its own data dir at the owner's epochs.
-  /// Returns kBadRequest with the current epoch in `epoch` when
-  /// `expected_epoch` does not match the local chain (the caller answers
-  /// 409 and the owner falls back to a full-state sync).
+  /// Applies a batch whose epochs were minted elsewhere: a shard owner's
+  /// replicated batch, or — during recovery, before durability is
+  /// attached — a journaled batch (`seal` false, `expected_epoch` the
+  /// recorded epoch) or a journaled seal (empty `updates`, `seal` true,
+  /// `expected_epoch` -> `sealed_epoch`). Unlike ApplyEdges this never
+  /// policy-seals: the owner dictates every seal point and `sealed_epoch`
+  /// is installed as-is. With durability attached it journals and
+  /// snapshots like a local write, so a follower rejoins from its own data
+  /// dir at the owner's epochs. Returns kBadRequest with the local epoch in
+  /// `epoch` when `expected_epoch` does not match the local chain (the
+  /// cluster answers 409 and the owner falls back to a full-state sync;
+  /// recovery refuses the data dir).
   ApplyResult ApplyReplicated(const std::string& name,
                               std::span<const EdgeUpdate> updates, bool seal,
                               uint64_t expected_epoch, uint64_t sealed_epoch,
@@ -155,7 +162,8 @@ class LiveGraphManager {
     std::vector<EdgeUpdate> pending;
   };
 
-  /// Copies the current state of `name` (false when unregistered).
+  /// Copies the current state of `name`, resynced against the registry
+  /// (false when unregistered).
   bool ExportState(const std::string& name, ExportedState* out);
 
   /// Buffered updates for `name` (0 when untracked).
@@ -178,33 +186,20 @@ class LiveGraphManager {
   Status RestoreSnapshot(const durability::SnapshotData& data,
                          std::string* error);
 
-  /// Recovery: re-buffers a journaled batch without journaling it again
-  /// and without triggering policy seals. Fails when the batch's recorded
-  /// epoch does not match the graph's current epoch (broken chain).
-  Status ReplayBatch(const std::string& name, uint64_t epoch,
-                     std::span<const durability::EdgeOp> updates,
-                     std::string* error);
-
-  /// Recovery: re-runs a journaled seal, pinning the exact epoch the
-  /// pre-crash process installed. Fails when `old_epoch` does not match
-  /// the graph's current epoch (the journaled chain must be contiguous).
-  Status ReplaySeal(const std::string& name, uint64_t old_epoch,
-                    uint64_t new_epoch, int threads, std::string* error);
-
-  /// Recovery: discards resident live state for `name` (a journaled
-  /// re-registration supersedes everything buffered before it). Not safe
-  /// against concurrent ApplyEdges — recovery runs single-threaded before
-  /// the server accepts traffic.
+  /// Unregistration: discards resident live state for `name`. Not safe
+  /// against concurrent writes to `name` (a writer that already looked
+  /// the state up would keep using it).
   bool DropState(const std::string& name);
 
-  /// Writes an on-demand snapshot of `name` (the admin endpoint), covering
-  /// the journal up to now — including acked-but-unsealed pending updates.
+  /// Writes an on-demand snapshot of `name` (the admin endpoint), resynced
+  /// against the registry and covering the journal up to now — including
+  /// acked-but-unsealed pending updates.
   /// kBadRequest without a durability layer, kNotFound for unknown names,
   /// kShutdown when the write fails.
   Status SnapshotNow(const std::string& name, std::string* error);
 
   struct Stats {
-    uint64_t batches_total = 0;   ///< ApplyEdges calls accepted
+    uint64_t batches_total = 0;   ///< non-empty batches buffered
     uint64_t updates_total = 0;   ///< individual edge updates buffered
     uint64_t seals_total = 0;     ///< seals executed
     uint64_t runs_incremental = 0;  ///< per-config seal runs with reuse
@@ -248,21 +243,38 @@ class LiveGraphManager {
   LiveGraphState* GetOrCreateState(const std::string& name);
   LiveGraphState* FindState(const std::string& name) const;
 
+  /// Brings the state up to the registry's current registration of its
+  /// name. A registration the state has not seen (a re-register, a
+  /// replicated register or sync, a journaled one during recovery)
+  /// replaces the edge list, drops the pending buffer and invalidates
+  /// every baseline while keeping the tracked configs. False (with
+  /// *error) when the name is no longer registered. Caller holds the state
+  /// mutex.
+  bool ResyncLocked(LiveGraphState& state, std::string* error);
+
+  /// The one buffer routine behind ApplyEdges and ApplyReplicated: resync,
+  /// check `expected_epoch` (0 = whatever the local chain is at), check
+  /// the batch fits the registered shape, journal it, append it to the
+  /// pending buffer, count it. Fills result->status/error/epoch/accepted/
+  /// pending; false when the batch was rejected. Caller holds the state
+  /// mutex.
+  bool BufferLocked(LiveGraphState& state, std::span<const EdgeUpdate> updates,
+                    uint64_t expected_epoch, ApplyResult* result);
+
   /// Builds (or rebuilds) the baseline for one config on the state's
-  /// current graph. Caller holds the state mutex.
+  /// current graph: a seal run with nothing to reuse. Caller holds the
+  /// state mutex.
   Status TrackLocked(LiveGraphState& state, const LiveConfig& config,
                      int threads, std::string* error);
 
   /// Folds the pending buffer into a new graph + epoch, running every
-  /// tracked configuration incrementally. Caller holds the state mutex.
-  /// `pinned_epoch` != 0 installs exactly that epoch instead of allocating
-  /// one: recovery replay (`journal_pinned` false) additionally skips
-  /// journaling and snapshot-on-seal — the journal already has the record —
-  /// while a replicated seal (`journal_pinned` true) journals the pinned
-  /// transition and snapshots like a local seal, because for a follower
-  /// this *is* the first time the transition happens.
+  /// tracked configuration incrementally, journals the old -> new epoch
+  /// transition and snapshots per policy (both only once durability is
+  /// attached — never during recovery replay). `pinned_epoch` != 0
+  /// installs exactly that epoch (the owner's, or the journal's) instead
+  /// of allocating one. Caller holds the state mutex.
   void SealLocked(LiveGraphState& state, int threads, ApplyResult* result,
-                  uint64_t pinned_epoch = 0, bool journal_pinned = false);
+                  uint64_t pinned_epoch = 0);
 
   /// Builds a SnapshotData from the state and hands it to the durability
   /// layer. Caller holds the state mutex (which also guarantees no append
@@ -281,13 +293,22 @@ class LiveGraphManager {
                                    int threads, SealConfigReport* report);
 
   /// One wing configuration's seal run. `old_to_new` maps sealed edge ids
-  /// to new-graph edge ids (kInvalidEdge for deleted edges).
+  /// to new-graph edge ids (kNoEdge for deleted edges).
   std::shared_ptr<Payload> SealWing(
       LiveGraphState& state, const LiveConfig& config,
       Baseline<EdgeOffset>& baseline, const BipartiteGraph& old_graph,
       const BipartiteGraph& new_graph,
       std::span<const BipartiteGraph::Edge> changed,
       std::span<const EdgeOffset> old_to_new, int threads,
+      SealConfigReport* report);
+
+  /// The shared tail of SealTip and SealWing: reports what the run
+  /// reused (`outcome` is null for an unseeded run), installs `next` as the
+  /// config's baseline, and returns the payload that primes the cache.
+  template <typename Id>
+  static std::shared_ptr<Payload> InstallRun(
+      const LiveConfig& config, const engine::IncrementalOutcome* outcome,
+      const PeelStats& stats, Baseline<Id> next, Baseline<Id>* baseline,
       SealConfigReport* report);
 
   void RegisterInstruments();

@@ -86,6 +86,62 @@ bool RequestFromJson(const util::JsonValue& json, Request* request,
   return true;
 }
 
+bool EdgeUpdatesFromJson(const util::JsonValue& json, std::string_view field,
+                         std::vector<EdgeUpdate>* updates,
+                         std::string* error) {
+  const std::string name(field);
+  const util::JsonValue* items = json.Find(field);
+  if (items == nullptr || !items->IsArray()) {
+    *error = "missing required array field '" + name + "'";
+    return false;
+  }
+  updates->clear();
+  updates->reserve(items->Items().size());
+  for (const util::JsonValue& item : items->Items()) {
+    if (!item.IsObject()) {
+      *error = "'" + name + "' entries must be objects";
+      return false;
+    }
+    EdgeUpdate update;
+    if (const util::JsonValue* op = item.Find("op")) {
+      const std::string_view text =
+          op->IsString() ? std::string_view(op->AsString()) : "";
+      if (text == "insert" || text == "+") {
+        update.insert = true;
+      } else if (text == "delete" || text == "-") {
+        update.insert = false;
+      } else {
+        *error = "'op' must be 'insert' or 'delete'";
+        return false;
+      }
+    }
+    int64_t u = -1;
+    int64_t v = -1;
+    if (!item.GetInt("u", &u) || !item.GetInt("v", &v) || u < 0 || v < 0 ||
+        u > UINT32_MAX || v > UINT32_MAX) {
+      *error = "'" + name + "' entries need side-local 'u' and 'v' ids";
+      return false;
+    }
+    update.u = static_cast<VertexId>(u);
+    update.v = static_cast<VertexId>(v);
+    updates->push_back(update);
+  }
+  return true;
+}
+
+void WriteEdgeUpdatesJson(std::span<const EdgeUpdate> updates,
+                          util::JsonWriter* writer) {
+  writer->BeginArray();
+  for (const EdgeUpdate& update : updates) {
+    writer->BeginObject()
+        .Key("op").String(update.insert ? "+" : "-")
+        .Key("u").Uint(update.u)
+        .Key("v").Uint(update.v)
+        .EndObject();
+  }
+  writer->EndArray();
+}
+
 void WritePeelStatsJson(const PeelStats& stats, util::JsonWriter* writer) {
   writer->BeginObject()
       .Key("wedges_counting").Uint(stats.wedges_counting)

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,6 +78,15 @@ struct Request {
   obs::TraceContext trace;
 };
 
+/// One edge mutation against a live graph, in side-local coordinates.
+/// Inserting an existing edge or deleting an absent one is a no-op; within
+/// a batch the last operation on a (u, v) pair wins.
+struct EdgeUpdate {
+  bool insert = true;
+  VertexId u = 0;
+  VertexId v = 0;
+};
+
 /// Terminal state of a request.
 enum class Status : uint8_t {
   kOk,
@@ -144,6 +154,19 @@ bool AlgorithmFromName(std::string_view name, Algorithm* algorithm);
 /// sets *error on any violation, leaving *request unspecified.
 bool RequestFromJson(const util::JsonValue& json, Request* request,
                      std::string* error);
+
+/// Parses the wire form of an edge-update batch: the array under `field`
+/// of `json`, each entry {"op": "insert"|"+"|"delete"|"-", "u": id,
+/// "v": id} with `op` defaulting to insert and ids in [0, 2^32). The one
+/// parser for client batches (POST /v1/graphs/{name}/edges) and the
+/// cluster's replicated and synced batches. Returns false and sets *error
+/// when the field is missing or not an array, or on any malformed entry.
+bool EdgeUpdatesFromJson(const util::JsonValue& json, std::string_view field,
+                         std::vector<EdgeUpdate>* updates, std::string* error);
+
+/// Writes `updates` as the array EdgeUpdatesFromJson reads (op "+"/"-").
+void WriteEdgeUpdatesJson(std::span<const EdgeUpdate> updates,
+                          util::JsonWriter* writer);
 
 /// Writes every PeelStats counter and per-phase timing as one JSON object
 /// (the same quantities AppendPeelStats exports to bench JSON).

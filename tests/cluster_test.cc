@@ -640,6 +640,81 @@ TEST_F(ClusterFixture, CrashedFollowerRejoinsFromItsOwnDataDir) {
   EXPECT_EQ(Numbers(from_owner.body), Numbers(from_follower.body));
 }
 
+// Replica-to-replica bodies are untrusted input too: a shape or edge the
+// graph build cannot hold must be a 400, never an abort of the replica.
+TEST_F(ClusterFixture, MalformedClusterRegisterAndSyncBodiesAre400) {
+  StartCluster();
+  const uint16_t port = replicas_["a"]->port();
+  const std::string kHead = "{\"name\":\"x\",\"epoch\":5,";
+  const std::vector<std::string> graph_bodies = {
+      kHead + "\"num_u\":2,\"num_v\":2,\"edges\":[[7,0]]}",
+      kHead + "\"num_u\":2,\"num_v\":2,\"edges\":[[0,2]]}",
+      kHead + "\"num_u\":2,\"num_v\":2,\"edges\":[[-1,0]]}",
+      kHead + "\"num_u\":2,\"num_v\":2,\"edges\":[[0]]}",
+      kHead + "\"num_u\":4294967296,\"num_v\":1,\"edges\":[]}",
+      kHead + "\"num_u\":4294967295,\"num_v\":1,\"edges\":[]}",
+      kHead + "\"num_u\":-1,\"num_v\":1,\"edges\":[]}",
+      kHead + "\"num_u\":9223372036854775807,\"num_v\":1,\"edges\":[]}",
+      kHead + "\"num_u\":2,\"num_v\":2,\"edges\":{}}",
+  };
+  for (const char* path : {"/v1/cluster/register", "/v1/cluster/sync"}) {
+    for (const std::string& body : graph_bodies) {
+      const auto response = Post(port, path, body);
+      EXPECT_EQ(response.status, 400) << path << " " << body << ": "
+                                      << response.body;
+    }
+  }
+  // Sync's pending buffer goes through the same edge-batch codec: unknown
+  // ops and ids past 32 bits are refused, and so are updates outside the
+  // synced shape — all before anything is installed.
+  const std::string sync_head =
+      kHead + "\"num_u\":2,\"num_v\":2,\"edges\":[[0,0]],\"pending\":";
+  for (const std::string& pending :
+       {std::string("[{\"op\":\"x\",\"u\":0,\"v\":0}]"),
+        std::string("[{\"op\":\"+\",\"u\":4294967296,\"v\":0}]"),
+        std::string("[{\"op\":\"+\",\"u\":1,\"v\":9}]"),
+        std::string("{}")}) {
+    const auto response =
+        Post(port, "/v1/cluster/sync", sync_head + pending + "}");
+    EXPECT_EQ(response.status, 400) << pending << ": " << response.body;
+  }
+  EXPECT_EQ(Get(port, "/healthz").status, 200);
+  EXPECT_FALSE(static_cast<bool>(replicas_["a"]->registry->Acquire("x")));
+
+  // The well-formed version of the same body installs the graph.
+  const auto ok = Post(port, "/v1/cluster/sync",
+                       sync_head + "[{\"op\":\"-\",\"u\":0,\"v\":0}]}");
+  ASSERT_EQ(ok.status, 200) << ok.body;
+  EXPECT_EQ(replicas_["a"]->registry->Acquire("x").epoch(), 5u);
+  EXPECT_EQ(replicas_["a"]->service->live().PendingEdges("x"), 1u);
+}
+
+TEST_F(ClusterFixture, ReplicatedBatchOffTheLocalChainIs409) {
+  StartCluster();
+  const uint16_t port = replicas_["a"]->port();
+  ASSERT_EQ(Post(port, "/v1/cluster/register",
+                 "{\"name\":\"x\",\"epoch\":5,\"num_u\":2,\"num_v\":2,"
+                 "\"edges\":[[0,0]]}")
+                .status,
+            200);
+  const std::string edges = "\"edges\":[{\"op\":\"+\",\"u\":1,\"v\":1}]}";
+  const auto diverged =
+      Post(port, "/v1/cluster/edges",
+           "{\"graph\":\"x\",\"expected_epoch\":4," + edges);
+  EXPECT_EQ(diverged.status, 409) << diverged.body;
+  EXPECT_EQ(UintField(diverged.body, "current_epoch"), 5u);
+  // A malformed batch on the right chain is a plain 400, not a resync.
+  const auto outside =
+      Post(port, "/v1/cluster/edges",
+           "{\"graph\":\"x\",\"expected_epoch\":5,"
+           "\"edges\":[{\"u\":1,\"v\":7}]}");
+  EXPECT_EQ(outside.status, 400) << outside.body;
+  const auto applied =
+      Post(port, "/v1/cluster/edges",
+           "{\"graph\":\"x\",\"expected_epoch\":5," + edges);
+  EXPECT_EQ(applied.status, 200) << applied.body;
+}
+
 TEST_F(ClusterFixture, RouteEndpointAgreesAcrossAllMembers) {
   StartCluster();
   std::string expected;

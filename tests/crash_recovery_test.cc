@@ -786,6 +786,104 @@ TEST(Recovery, AdminSnapshotCoversPendingAndTruncatesReplay) {
   EXPECT_EQ(recovered.live->PendingEdges("g"), 2u);
 }
 
+TEST(Recovery, SnapshotAfterReRegistrationRecordsTheNewGraph) {
+  TempDir dir;
+  const BipartiteGraph replacement =
+      ChungLuBipartite(30, 20, 90, 0.5, 0.5, 12);
+  uint64_t registered = 0;
+  {
+    DurableStack stack(dir.path());
+    ASSERT_NE(stack.durability, nullptr) << stack.error;
+    stack.Register("g", ChungLuBipartite(40, 30, 150, 0.5, 0.5, 11));
+    std::vector<EdgeUpdate> batch = {{true, 1, 2}, {true, 3, 4}};
+    ASSERT_EQ(stack.live->ApplyEdges("g", batch, false).status,
+              service::Status::kOk);
+    registered = stack.Register("g", replacement);
+    std::string error;
+    ASSERT_EQ(stack.live->SnapshotNow("g", &error), service::Status::kOk)
+        << error;
+  }
+  DurableStack recovered(dir.path());
+  ASSERT_NE(recovered.durability, nullptr) << recovered.error;
+  const service::GraphHandle handle = recovered.registry.Acquire("g");
+  ASSERT_TRUE(static_cast<bool>(handle));
+  EXPECT_EQ(handle.epoch(), registered);
+  EXPECT_EQ(handle.graph().ToEdges(), replacement.ToEdges());
+  EXPECT_EQ(recovered.live->PendingEdges("g"), 0u);
+}
+
+// Re-register, then an untracked sealed batch, with no snapshot to paper
+// over the journal: the batch must be journaled against the re-registered
+// epoch, so the restart replays the same chain and serves the same bytes.
+TEST(ServiceRestart, ReRegistrationThenUntrackedSealRecovers) {
+  TempDir dir;
+  const BipartiteGraph replacement =
+      ChungLuBipartite(60, 50, 120, 0.6, 0.6, 14);
+  const std::vector<EdgeUpdate> batch = {{true, 2, 3}, {true, 4, 5}};
+  service::Request request;
+  request.graph = "g";
+  request.partitions = 8;
+  request.threads = 2;
+  auto make_service = [&](service::GraphRegistry& registry) {
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    options.data_dir = dir.path();
+    options.snapshot_on_seal = false;
+    return std::make_unique<service::DecompositionService>(registry, options);
+  };
+
+  std::vector<Count> before;
+  uint64_t epoch_before = 0;
+  {
+    service::GraphRegistry registry;
+    auto service = make_service(registry);
+    ASSERT_TRUE(service->durability_error().empty())
+        << service->durability_error();
+    std::string error;
+    ASSERT_EQ(service->RegisterGraph(
+                  "g", ChungLuBipartite(60, 50, 240, 0.6, 0.6, 13), nullptr,
+                  &error),
+              service::Status::kOk)
+        << error;
+    const LiveConfig track[] = {{RequestKind::kTipU, 8}};
+    const std::vector<EdgeUpdate> first = {{true, 7, 7}};
+    ASSERT_TRUE(
+        service->live().ApplyEdges("g", first, true, 2, track).sealed);
+    ASSERT_EQ(service->RegisterGraph("g", replacement, nullptr, &error),
+              service::Status::kOk)
+        << error;
+    const service::ApplyResult applied =
+        service->live().ApplyEdges("g", batch, /*force_seal=*/true, 2);
+    ASSERT_EQ(applied.status, service::Status::kOk) << applied.error;
+    ASSERT_TRUE(applied.sealed);
+
+    std::set<Edge> expected;
+    for (const Edge& edge : replacement.ToEdges()) expected.insert(edge);
+    for (const EdgeUpdate& update : batch) {
+      expected.insert({update.u, update.v});
+    }
+    const std::vector<Edge> installed =
+        registry.Acquire("g").graph().ToEdges();
+    EXPECT_EQ(std::set<Edge>(installed.begin(), installed.end()), expected);
+
+    const service::Response response = service->Execute(request);
+    ASSERT_EQ(response.status, service::Status::kOk) << response.error;
+    before = response.payload->numbers;
+    epoch_before = response.graph_epoch;
+    service->Shutdown();
+  }
+
+  service::GraphRegistry registry;
+  auto service = make_service(registry);
+  ASSERT_TRUE(service->durability_error().empty())
+      << service->durability_error();
+  const service::Response response = service->Execute(request);
+  ASSERT_EQ(response.status, service::Status::kOk) << response.error;
+  EXPECT_EQ(response.graph_epoch, epoch_before);
+  EXPECT_EQ(response.payload->numbers, before);
+  service->Shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // The property: randomized crashes under churn never lose an acked batch
 // ---------------------------------------------------------------------------

@@ -279,6 +279,81 @@ TEST(IncrementalPolicyTest, UnknownGraphIsNotFound) {
             Status::kNotFound);
 }
 
+// ---------------------------------------------------------------------------
+// Re-registration: every write path resyncs against the registry
+// ---------------------------------------------------------------------------
+
+std::vector<BipartiteGraph::Edge> SortedEdges(const BipartiteGraph& graph) {
+  std::vector<BipartiteGraph::Edge> edges = graph.ToEdges();
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+// An untracked seal after a re-registration must fold the batch into the
+// re-registered graph, not into the superseded one the live state last
+// saw; the tracked config survives with its next seal a full run.
+TEST(ReRegistrationTest, UntrackedSealFoldsIntoTheReRegisteredGraph) {
+  LiveOptions options;
+  options.max_pending_edges = size_t{1} << 30;
+  LiveFixture fx(options);
+  const LiveConfig config{RequestKind::kTipU, 6};
+  std::string error;
+  ASSERT_EQ(fx.live.Track("g", config, 2, &error), Status::kOk) << error;
+  const std::vector<EdgeUpdate> first = {{true, 0, 0}};
+  ASSERT_TRUE(fx.live.ApplyEdges("g", first, /*force_seal=*/true, 2).sealed);
+  // Buffered against the old registration: superseded with it.
+  const std::vector<EdgeUpdate> stale = {{true, 5, 5}, {true, 6, 6}};
+  ASSERT_EQ(fx.live.ApplyEdges("g", stale, false, 2).status, Status::kOk);
+
+  const BipartiteGraph replacement =
+      ChungLuBipartite(150, 120, 300, 0.6, 0.6, 77);
+  const uint64_t registered = fx.registry.Register("g", replacement);
+  const std::vector<EdgeUpdate> batch = {{true, 1, 2}, {true, 3, 4}};
+  const ApplyResult result =
+      fx.live.ApplyEdges("g", batch, /*force_seal=*/true, 2);
+  ASSERT_EQ(result.status, Status::kOk) << result.error;
+  ASSERT_TRUE(result.sealed);
+  EXPECT_GT(result.epoch, registered);
+
+  std::vector<BipartiteGraph::Edge> expected = SortedEdges(replacement);
+  for (const EdgeUpdate& update : batch) {
+    expected.push_back({update.u, update.v});
+  }
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+  const GraphHandle after = fx.registry.Acquire("g");
+  EXPECT_EQ(SortedEdges(after.graph()), expected);
+
+  ASSERT_EQ(result.reports.size(), 1u);
+  EXPECT_FALSE(result.reports[0].incremental);
+  const auto payload = fx.cache.Get(CacheKey{
+      "g", result.epoch, config.kind, Algorithm::kReceipt, config.partitions});
+  ASSERT_NE(payload, nullptr);
+  EXPECT_EQ(payload->numbers, DirectNumbers(after.graph(), config, 2));
+}
+
+TEST(ReRegistrationTest, ExportStateReportsTheReRegisteredGraph) {
+  LiveOptions options;
+  options.max_pending_edges = size_t{1} << 30;
+  LiveFixture fx(options);
+  const std::vector<EdgeUpdate> pending = {{true, 5, 5}};
+  ASSERT_EQ(fx.live.ApplyEdges("g", pending, false, 1).status, Status::kOk);
+
+  const BipartiteGraph replacement =
+      ChungLuBipartite(90, 80, 250, 0.6, 0.6, 78);
+  const uint64_t registered = fx.registry.Register("g", replacement);
+  LiveGraphManager::ExportedState exported;
+  ASSERT_TRUE(fx.live.ExportState("g", &exported));
+  EXPECT_EQ(exported.epoch, registered);
+  EXPECT_EQ(exported.num_u, replacement.num_u());
+  EXPECT_EQ(exported.num_v, replacement.num_v());
+  EXPECT_EQ(exported.edges, SortedEdges(replacement));
+  EXPECT_TRUE(exported.pending.empty());
+  EXPECT_EQ(fx.live.PendingEdges("g"), 0u);
+  EXPECT_EQ(fx.live.stats().pending_edges, 0u);
+}
+
 TEST(ResultCacheTest, DropEpochRemovesExactlyThatEpoch) {
   ResultCache cache(size_t{1} << 20);
   auto payload = std::make_shared<Payload>();
