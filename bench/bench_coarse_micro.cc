@@ -146,9 +146,6 @@ int Main(int argc, char** argv) {
         options.num_partitions = DefaultPartitions();
         options.use_huc = optimized;
         options.use_dgm = optimized;
-        // Deterministic direction decisions — the element counters are
-        // the gate, and the measured-cost default is timing-dependent.
-        options.frontier_switch = FrontierSwitch::kFixedDensity;
         return ReceiptCd(mg.graph, options, stats);
       };
       ok = Check(mg.name, optimized ? "tip-hucdgm" : "tip-plain",
@@ -161,7 +158,6 @@ int Main(int argc, char** argv) {
       ReceiptWingOptions options;
       options.num_threads = threads;
       options.num_partitions = 8;
-      options.frontier_switch = FrontierSwitch::kFixedDensity;
       return ReceiptWingCoarse(mg.graph, options, stats);
     };
     ok = Check(mg.name, "wing", mg.graph.num_edges(), mg.gate, run,

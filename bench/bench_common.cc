@@ -150,51 +150,13 @@ std::string ConsumeJsonFlag(int* argc, char** argv) {
 }
 
 void AppendPeelStats(const PeelStats& stats, JsonRecord* record) {
-  record->counters.emplace_back("wedges_counting", stats.wedges_counting);
-  record->counters.emplace_back("wedges_cd", stats.wedges_cd);
-  record->counters.emplace_back("wedges_fd", stats.wedges_fd);
-  record->counters.emplace_back("wedges_other", stats.wedges_other);
-  record->counters.emplace_back("sync_rounds", stats.sync_rounds);
-  record->counters.emplace_back("peel_iterations", stats.peel_iterations);
-  record->counters.emplace_back("huc_recounts", stats.huc_recounts);
-  record->counters.emplace_back("dgm_compactions", stats.dgm_compactions);
-  record->counters.emplace_back("frontier_rounds", stats.frontier_rounds);
-  record->counters.emplace_back("scan_rounds", stats.scan_rounds);
-  record->counters.emplace_back("index_build_rounds",
-                                stats.index_build_rounds);
-  record->counters.emplace_back("scan_build_elements",
-                                stats.scan_build_elements);
-  record->counters.emplace_back("frontier_build_elements",
-                                stats.frontier_build_elements);
-  record->counters.emplace_back("index_active_elements",
-                                stats.index_active_elements);
-  record->counters.emplace_back("active_scan_elements",
-                                stats.active_scan_elements);
-  record->counters.emplace_back("bound_walk_buckets",
-                                stats.bound_walk_buckets);
-  record->counters.emplace_back("histogram_refines", stats.histogram_refines);
-  record->counters.emplace_back("init_patch_elements",
-                                stats.init_patch_elements);
-  record->counters.emplace_back("index_rebuild_elements",
-                                stats.index_rebuild_elements);
-  record->counters.emplace_back("placement_nodes", stats.placement_nodes);
-  record->counters.emplace_back("placement_local_pops",
-                                stats.placement_local_pops);
-  record->counters.emplace_back("placement_remote_steals",
-                                stats.placement_remote_steals);
-  record->counters.emplace_back("makespan_predicted",
-                                stats.makespan_predicted);
-  record->counters.emplace_back("makespan_measured",
-                                stats.makespan_measured);
-  record->counters.emplace_back("num_subsets", stats.num_subsets);
-  record->values.emplace_back("scan_cost_per_element",
-                              stats.scan_cost_per_element);
-  record->values.emplace_back("frontier_cost_per_element",
-                              stats.frontier_cost_per_element);
-  record->values.emplace_back("seconds_counting", stats.seconds_counting);
-  record->values.emplace_back("seconds_cd", stats.seconds_cd);
-  record->values.emplace_back("seconds_fd", stats.seconds_fd);
-  record->values.emplace_back("seconds_total", stats.seconds_total);
+  ForEachPeelStatsField([&](const char* name, auto member, StatFold) {
+    if constexpr (std::is_same_v<decltype(stats.*member), const double&>) {
+      record->values.emplace_back(name, stats.*member);
+    } else {
+      record->counters.emplace_back(name, stats.*member);
+    }
+  });
 }
 
 bool WriteBenchJson(const std::string& path, const std::string& bench,

@@ -114,9 +114,9 @@ struct JsonRecord {
   std::vector<std::pair<std::string, double>> values;
 };
 
-/// Appends the per-phase timings and counters of `stats` to `record` —
-/// wedges by phase, sync rounds, frontier-vs-scan direction counters and
-/// the per-phase seconds.
+/// Appends every PeelStats field to `record` under its
+/// ForEachPeelStatsField name: integer fields as counters, seconds as
+/// values.
 void AppendPeelStats(const PeelStats& stats, JsonRecord* record);
 
 /// Writes `{"bench": <bench>, "records": [...]}` to `path`. Returns false

@@ -55,8 +55,6 @@ TipOptions BaseOptions() {
   TipOptions options;
   options.num_threads = DefaultThreads();
   options.num_partitions = DefaultPartitions();
-  // Deterministic direction decisions, as in the other gated micro-benches.
-  options.frontier_switch = FrontierSwitch::kFixedDensity;
   return options;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -14,38 +15,12 @@ namespace receipt::cluster {
 
 namespace {
 
+using server::GraphNameFromBody;
+using server::GraphNameFromEdgesPath;
 using server::HttpRequest;
 using server::HttpResponse;
 using server::HttpStatusFor;
 using server::JsonError;
-
-/// The graph name a request addresses: the "graph" body field for
-/// /v1/decompose, the "name" field for /v1/graphs. Empty when absent —
-/// the caller delegates to the frontend, whose validation produces the
-/// right 400.
-std::string GraphNameFromBody(const std::string& body,
-                              std::string_view field) {
-  const auto json = util::JsonValue::Parse(body);
-  if (!json.has_value() || !json->IsObject()) return "";
-  std::string name;
-  json->GetString(std::string(field), &name);
-  return name;
-}
-
-/// /v1/graphs/{name}/edges -> name ("" when the path is not that shape).
-std::string GraphNameFromEdgesPath(const std::string& path) {
-  constexpr std::string_view kPrefix = "/v1/graphs/";
-  constexpr std::string_view kSuffix = "/edges";
-  if (path.size() <= kPrefix.size() + kSuffix.size() ||
-      path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-          0) {
-    return "";
-  }
-  const std::string name = path.substr(
-      kPrefix.size(), path.size() - kPrefix.size() - kSuffix.size());
-  if (name.find('/') != std::string::npos) return "";
-  return name;
-}
 
 std::string QueryParam(const std::string& query, std::string_view key) {
   size_t pos = 0;
@@ -409,6 +384,10 @@ HttpResponse ClusterNode::HandleEdges(const HttpRequest& request) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const service::GraphHandle before = registry_->Acquire(name);
   const uint64_t expected_epoch = before ? before.epoch() : 0;
+  // An unsealed batch leaves the epoch alone, so followers also check
+  // their buffer against the owner's: one that missed an unsealed batch
+  // answers 409 instead of sealing a different edge set at this epoch.
+  const size_t expected_pending = service_->live().PendingEdges(name);
 
   HttpResponse response = frontend_->HandleGraphEdges(request);
   if (response.status != 200 || expected_epoch == 0) return response;
@@ -441,6 +420,7 @@ HttpResponse ClusterNode::HandleEdges(const HttpRequest& request) {
   json.BeginObject()
       .Key("graph").String(name)
       .Key("expected_epoch").Uint(expected_epoch)
+      .Key("expected_pending").Uint(expected_pending)
       .Key("seal").Bool(sealed)
       .Key("sealed_epoch").Uint(sealed ? sealed_epoch : 0)
       .Key("threads").Int(threads)
@@ -571,6 +551,12 @@ HttpResponse ClusterNode::HandleClusterEdges(const HttpRequest& request) {
   std::string graph;
   const util::JsonValue* expected = json->Find("expected_epoch");
   const util::JsonValue* sealed_epoch = json->Find("sealed_epoch");
+  // Absent from owners of earlier builds: the epoch check alone applies.
+  const util::JsonValue* pending = json->Find("expected_pending");
+  std::optional<size_t> expected_pending;
+  if (pending != nullptr && pending->IsInt()) {
+    expected_pending = static_cast<size_t>(pending->AsUint());
+  }
   bool seal = false;
   int64_t threads = 0;
   std::vector<service::EdgeUpdate> updates;
@@ -592,13 +578,16 @@ HttpResponse ClusterNode::HandleClusterEdges(const HttpRequest& request) {
       sealed_epoch != nullptr && sealed_epoch->IsInt()
           ? sealed_epoch->AsUint()
           : 0,
-      static_cast<int>(threads));
+      static_cast<int>(threads), expected_pending);
   if (result.status != service::Status::kOk) {
-    // A rejected batch reports the local epoch: one off the owner's chain
-    // means this replica diverged and needs the owner's full-state sync.
+    // A rejected batch reports the local epoch and buffer length: either
+    // one off the owner's means this replica diverged and needs the
+    // owner's full-state sync.
     const bool chain_mismatch =
         result.status == service::Status::kBadRequest &&
-        result.epoch != expected_epoch;
+        (result.epoch != expected_epoch ||
+         (expected_pending.has_value() &&
+          result.pending != *expected_pending));
     util::JsonWriter out;
     out.BeginObject()
         .Key("status").String("error")

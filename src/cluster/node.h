@@ -53,8 +53,9 @@ struct ClusterNodeOptions {
 ///           the other holders pinned to its own epochs — epochs are the
 ///           replication token, so replica chains are identical by
 ///           construction, and a follower whose chain diverged (it missed
-///           batches while down) answers 409 and is caught up with a
-///           full-state sync.
+///           batches while down: its epoch or its unsealed-buffer length
+///           differs from the owner's) answers 409 and is caught up with
+///           a full-state sync.
 ///
 /// Internal endpoints (replica-to-replica, same HTTP surface):
 ///   POST /v1/cluster/register   install a graph at the owner's epoch

@@ -5,12 +5,15 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "server/decomposition_http.h"
 #include "util/json.h"
 
 namespace receipt::cluster {
 
 namespace {
 
+using server::GraphNameFromBody;
+using server::GraphNameFromEdgesPath;
 using server::HttpRequest;
 using server::HttpResponse;
 using server::JsonError;
@@ -26,29 +29,6 @@ std::string RequestId(const HttpRequest& request) {
   const auto it = request.headers.find("x-request-id");
   if (it != request.headers.end() && !it->second.empty()) return it->second;
   return obs::FormatTraceId(obs::MintTraceId());
-}
-
-std::string GraphNameFromBody(const std::string& body,
-                              std::string_view field) {
-  const auto json = util::JsonValue::Parse(body);
-  if (!json.has_value() || !json->IsObject()) return "";
-  std::string name;
-  json->GetString(std::string(field), &name);
-  return name;
-}
-
-std::string GraphNameFromEdgesPath(const std::string& path) {
-  constexpr std::string_view kPrefix = "/v1/graphs/";
-  constexpr std::string_view kSuffix = "/edges";
-  if (path.size() <= kPrefix.size() + kSuffix.size() ||
-      path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-          0) {
-    return "";
-  }
-  const std::string name = path.substr(
-      kPrefix.size(), path.size() - kPrefix.size() - kSuffix.size());
-  if (name.find('/') != std::string::npos) return "";
-  return name;
 }
 
 uint64_t EpochFromResponse(const std::string& body, std::string_view field) {

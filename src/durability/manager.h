@@ -53,6 +53,8 @@ class DurabilityManager {
   bool LogRegister(const std::string& graph, uint64_t epoch, uint32_t num_u,
                    uint32_t num_v, std::span<const BipartiteGraph::Edge> edges,
                    std::string* error);
+  /// Only recovery consumes unregister records (data dirs written by
+  /// earlier builds may hold them); no serving path writes one.
   bool LogUnregister(const std::string& graph, std::string* error);
   bool LogEdgeBatch(const std::string& graph, uint64_t epoch,
                     std::span<const EdgeOp> updates, std::string* error);

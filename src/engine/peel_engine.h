@@ -22,7 +22,6 @@
 #include "obs/trace.h"
 #include "util/parallel.h"
 #include "util/stats.h"
-#include "util/timer.h"
 #include "util/types.h"
 #include "wing/edge_topology.h"
 
@@ -151,8 +150,8 @@ class WingPeelGraph {
 // frontier buffers, deduplicated through the pool's per-round epoch bitmap,
 // and the next active set is the order-preserving merge of those buffers —
 // unless the frontier is dense relative to the surviving population, in
-// which case the engine falls back to the full parallel scan (the
-// FrontierSwitch rule decides; a HUC re-count, which invalidates the
+// which case the engine falls back to the full parallel scan (UseScan's
+// fixed density rule decides; a HUC re-count, which invalidates the
 // tracking, rebuilds from the SupportIndex). Both directions produce
 // bit-identical active sets: every entity alive and in range at the start
 // of round r+1 must have received its below-`hi` update during round r
@@ -231,19 +230,12 @@ struct IncrementalOutcome {
 };
 
 /// Knobs of the coarse decomposition engine, bundled so drivers forward
-/// their option structs in one hop. Every combination is bit-identical —
-/// the knobs trade rebuild cost, never results.
+/// their option structs in one hop.
 struct CoarseOptions {
   /// P: subsets with caller-chosen bounds; one unbounded subset absorbs
   /// the rest once exhausted (§3.1.1).
   uint32_t max_partitions = 1;
   int num_threads = 1;
-  /// Active-set rebuild direction rule (see FrontierSwitch). Measured cost
-  /// is the default: the run adapts to the machine's actual rebuild costs
-  /// and falls back to the fixed density rule until both directions are
-  /// sampled. The direction-forcing suites and micro-benches pin one of
-  /// the three deterministic rules.
-  FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
   /// Span sink (null by default): the decomposer emits one
   /// "engine.cd.range" span per produced subset.
   obs::TraceContext trace;
@@ -258,7 +250,6 @@ CoarseOptions MakeCoarseOptions(const DriverOptions& options,
   CoarseOptions coarse;
   coarse.max_partitions = max_partitions;
   coarse.num_threads = options.num_threads;
-  coarse.frontier_switch = options.frontier_switch;
   coarse.trace = options.trace;
   return coarse;
 }
@@ -522,10 +513,6 @@ class RangeDecomposer {
     }
 
     stats->num_subsets = result.subsets.size();
-    stats->scan_cost_per_element =
-        std::max(stats->scan_cost_per_element, scan_cost_ewma_);
-    stats->frontier_cost_per_element =
-        std::max(stats->frontier_cost_per_element, frontier_cost_ewma_);
     return result;
   }
 
@@ -734,56 +721,22 @@ class RangeDecomposer {
   }
 
   /// True when the next active set should be rebuilt by a full scan instead
-  /// of a frontier merge. The forced and fixed-density rules are
-  /// deterministic across thread counts (the frontier size is a set
-  /// property, not a schedule property); the measured-cost rule compares
-  /// EWMA per-element rebuild costs and is timing-dependent — either way
-  /// the rebuilt set is bit-identical, only its cost changes.
-  bool UseScan(uint64_t frontier_size, uint64_t alive, uint64_t n) {
-    if (opts_.frontier_switch == FrontierSwitch::kScanOnly) return true;
-    if (opts_.frontier_switch == FrontierSwitch::kFrontierOnly) return false;
-    if (opts_.frontier_switch == FrontierSwitch::kMeasuredCost &&
-        scan_cost_ewma_ > 0.0 && frontier_cost_ewma_ > 0.0) {
-      bool scan = static_cast<double>(n) * scan_cost_ewma_ <
-                  static_cast<double>(frontier_size) * frontier_cost_ewma_;
-      // Samples only come from the direction that runs, so a single bad
-      // sample (e.g. fixed merge overhead on a tiny first frontier) could
-      // lock the switch into one side forever. Probe the losing direction
-      // after a long winning streak to keep its EWMA current; the probe is
-      // still a correct rebuild, just a potentially slower one.
-      constexpr int kProbeStreak = 16;
-      if (scan == measured_last_scan_) {
-        if (++measured_streak_ >= kProbeStreak) {
-          scan = !scan;
-          measured_streak_ = 0;
-        }
-      } else {
-        measured_streak_ = 0;
-      }
-      measured_last_scan_ = scan;
-      return scan;
-    }
+  /// of a frontier merge: the frontier holds at least kFrontierDensity of
+  /// the alive entities. The frontier size is a set property, not a
+  /// schedule property, so the choice (and every round counter) is the
+  /// same at any thread count; the rebuilt set is bit-identical either way.
+  static bool UseScan(uint64_t frontier_size, uint64_t alive) {
     return static_cast<double>(frontier_size) >=
            kFrontierDensity * static_cast<double>(alive);
   }
 
-  /// The one EWMA update both direction gauges share (the kMeasuredCost
-  /// decision compares these, so their weighting must never drift apart).
-  static void UpdateEwma(double* ewma, double seconds, uint64_t elements) {
-    if (elements == 0) return;
-    const double sample = seconds / static_cast<double>(elements);
-    *ewma = *ewma == 0.0 ? sample : 0.75 * *ewma + 0.25 * sample;
-  }
-
-  /// One timed full-scan active-set rebuild with its direction accounting —
-  /// the dense-frontier direction.
+  /// Full-scan active-set rebuild with its direction accounting — the
+  /// dense-frontier direction.
   template <typename InRange, typename AsId>
   void RebuildByScan(uint64_t n, InRange&& in_range, AsId&& as_id,
                      PeelStats* stats) {
-    const WallTimer scan_timer;
     ParallelFilterInto(n, num_threads_, active_, in_range, as_id,
                        &filter_offsets_);
-    UpdateEwma(&scan_cost_ewma_, scan_timer.Seconds(), n);
     ++stats->scan_rounds;
     stats->scan_build_elements += n;
     stats->active_scan_elements += n;
@@ -922,13 +875,12 @@ class RangeDecomposer {
         // exhausted (the claimed set equals the scan set) — a terminal
         // check, not a rebuild; counts toward neither direction.
         active_.clear();
-      } else if (UseScan(merged_frontier_.size(), alive_count, n)) {
+      } else if (UseScan(merged_frontier_.size(), alive_count)) {
         RebuildByScan(n, in_range, as_id, stats);
       } else {
         // Order-preserving merge: per-thread buffers arrive in arbitrary
         // interleavings, so sort by id to restore the scan order (this
         // also makes subset member order independent of thread count).
-        const WallTimer merge_timer;
         std::sort(merged_frontier_.begin(), merged_frontier_.end());
         stats->frontier_build_elements += merged_frontier_.size();
         stats->active_scan_elements += merged_frontier_.size();
@@ -937,8 +889,6 @@ class RangeDecomposer {
         for (const Id e : merged_frontier_) {
           if (pg_->IsAlive(e) && pg_->Support(e) < hi) active_.push_back(e);
         }
-        UpdateEwma(&frontier_cost_ewma_, merge_timer.Seconds(),
-                   merged_frontier_.size());
       }
     }
     return alive_count;
@@ -963,10 +913,6 @@ class RangeDecomposer {
   std::vector<Count> shadow_;
   std::vector<uint8_t> divergent_bit_;
   std::vector<uint64_t> divergent_list_;
-  double scan_cost_ewma_ = 0.0;
-  double frontier_cost_ewma_ = 0.0;
-  int measured_streak_ = 0;        // consecutive same-direction picks
-  bool measured_last_scan_ = false;
 
   // Round-loop scratch, reused across ranges within one Run().
   std::vector<size_t> filter_offsets_;  // ParallelFilterInto scratch

@@ -45,6 +45,30 @@ int HttpStatusFor(Status status) {
   return 500;
 }
 
+std::string GraphNameFromEdgesPath(const std::string& path) {
+  constexpr std::string_view kPrefix = "/v1/graphs/";
+  constexpr std::string_view kSuffix = "/edges";
+  if (path.size() <= kPrefix.size() + kSuffix.size() ||
+      path.compare(0, kPrefix.size(), kPrefix) != 0 ||
+      path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
+          0) {
+    return "";
+  }
+  std::string name = path.substr(
+      kPrefix.size(), path.size() - kPrefix.size() - kSuffix.size());
+  if (name.find('/') != std::string::npos) return "";
+  return name;
+}
+
+std::string GraphNameFromBody(const std::string& body,
+                              std::string_view field) {
+  const auto json = util::JsonValue::Parse(body);
+  if (!json.has_value() || !json->IsObject()) return "";
+  std::string name;
+  json->GetString(std::string(field), &name);
+  return name;
+}
+
 namespace {
 
 /// The one description of a resident graph both /v1/graphs responses share.
@@ -367,19 +391,10 @@ HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
     const HttpRequest& http_request) {
   CountHttpRequest("/v1/graphs/{name}/edges");
 
-  // Path: /v1/graphs/{name}/edges (the registration route is the exact
-  // match "/v1/graphs", so everything under the prefix lands here).
-  constexpr std::string_view kPrefix = "/v1/graphs/";
-  constexpr std::string_view kSuffix = "/edges";
-  const std::string& path = http_request.path;
-  if (path.size() <= kPrefix.size() + kSuffix.size() ||
-      path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                   kSuffix) != 0) {
-    return JsonError(404, "no such endpoint; use /v1/graphs/{name}/edges");
-  }
-  const std::string name = path.substr(
-      kPrefix.size(), path.size() - kPrefix.size() - kSuffix.size());
-  if (name.empty() || name.find('/') != std::string::npos) {
+  // The registration route is the exact match "/v1/graphs", so
+  // everything under the prefix lands here.
+  const std::string name = GraphNameFromEdgesPath(http_request.path);
+  if (name.empty()) {
     return JsonError(404, "no such endpoint; use /v1/graphs/{name}/edges");
   }
 

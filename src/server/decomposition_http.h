@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "obs/observability.h"
 #include "server/http_server.h"
@@ -20,6 +22,18 @@ HttpResponse JsonError(int status, const std::string& message);
 /// (client-closed-request): the only cancels a connected client can see
 /// are non-drain shutdown races.
 int HttpStatusFor(service::Status status);
+
+/// /v1/graphs/{name}/edges -> name ("" when the path is not that shape).
+/// The one parser of that path: the frontend, the cluster node and the
+/// router all route on it.
+std::string GraphNameFromEdgesPath(const std::string& path);
+
+/// The graph name a request body addresses: the string `field` ("graph"
+/// for /v1/decompose, "name" for /v1/graphs). Empty when the body is not
+/// a JSON object or lacks the field — the caller delegates to the
+/// frontend, whose validation produces the right 400.
+std::string GraphNameFromBody(const std::string& body,
+                              std::string_view field);
 
 /// The JSON endpoint surface over GraphRegistry + DecompositionService —
 /// the piece that turns the in-process serving layer into a network

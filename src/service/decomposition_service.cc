@@ -724,26 +724,4 @@ Status DecompositionService::RegisterGraphFile(const std::string& name,
   return RegisterGraph(name, std::move(*loaded), epoch_out, error);
 }
 
-Status DecompositionService::UnregisterGraph(const std::string& name,
-                                             std::string* error) {
-  const GraphHandle handle = registry_->Acquire(name);
-  if (!handle) {
-    if (error != nullptr) *error = "graph '" + name + "' is not registered";
-    return Status::kNotFound;
-  }
-  if (durability_ != nullptr) {
-    std::string log_error;
-    if (!durability_->LogUnregister(name, &log_error)) {
-      // Fail-stop: the graph stays registered rather than diverging from
-      // what a recovered process would see.
-      if (error != nullptr) *error = "durability: " + log_error;
-      return Status::kShutdown;
-    }
-  }
-  registry_->Evict(name);
-  live_->DropState(name);
-  cache_.DropEpoch(handle.epoch());
-  return Status::kOk;
-}
-
 }  // namespace receipt::service

@@ -272,12 +272,6 @@ class DecompositionService {
   Status RegisterGraphAtEpoch(const std::string& name, BipartiteGraph graph,
                               uint64_t epoch, std::string* error);
 
-  /// Durable eviction: journals the unregistration, then evicts the
-  /// registry entry and drops resident live state. kNotFound when the name
-  /// is unknown, kShutdown when the journal refuses the record (the graph
-  /// stays registered — fail-stop beats divergence).
-  Status UnregisterGraph(const std::string& name, std::string* error);
-
   /// On-demand snapshot of one graph (POST /v1/admin/snapshot).
   Status SnapshotGraph(const std::string& name, std::string* error) {
     return live_->SnapshotNow(name, error);

@@ -168,6 +168,7 @@ bool LiveGraphManager::ResyncLocked(LiveGraphState& state,
 bool LiveGraphManager::BufferLocked(LiveGraphState& state,
                                     std::span<const EdgeUpdate> updates,
                                     uint64_t expected_epoch,
+                                    std::optional<size_t> expected_pending,
                                     ApplyResult* result) {
   auto reject = [&](Status status, std::string error) {
     result->status = status;
@@ -185,6 +186,14 @@ bool LiveGraphManager::BufferLocked(LiveGraphState& state,
                   "epoch chain mismatch: graph '" + state.name + "' is at " +
                       std::to_string(epoch) + ", the batch expects " +
                       std::to_string(expected_epoch));
+  }
+  if (expected_pending.has_value() &&
+      state.pending.size() != *expected_pending) {
+    return reject(Status::kBadRequest,
+                  "pending buffer mismatch: graph '" + state.name +
+                      "' buffers " + std::to_string(state.pending.size()) +
+                      " updates, the batch expects " +
+                      std::to_string(*expected_pending));
   }
   const BipartiteGraph& graph = state.handle.graph();
   for (const EdgeUpdate& update : updates) {
@@ -278,7 +287,8 @@ ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
       return result;
     }
   }
-  if (!BufferLocked(*state, updates, /*expected_epoch=*/0, &result)) {
+  if (!BufferLocked(*state, updates, /*expected_epoch=*/0,
+                    /*expected_pending=*/std::nullopt, &result)) {
     return result;
   }
 
@@ -295,7 +305,8 @@ ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
 
 ApplyResult LiveGraphManager::ApplyReplicated(
     const std::string& name, std::span<const EdgeUpdate> updates, bool seal,
-    uint64_t expected_epoch, uint64_t sealed_epoch, int threads) {
+    uint64_t expected_epoch, uint64_t sealed_epoch, int threads,
+    std::optional<size_t> expected_pending) {
   ApplyResult result;
   if (expected_epoch == 0) {  // 0 would let BufferLocked skip the check
     result.status = Status::kBadRequest;
@@ -318,7 +329,10 @@ ApplyResult LiveGraphManager::ApplyReplicated(
     result.pending = state->pending.size();
     return result;
   }
-  if (!BufferLocked(*state, updates, expected_epoch, &result)) return result;
+  if (!BufferLocked(*state, updates, expected_epoch, expected_pending,
+                    &result)) {
+    return result;
+  }
   // No policy seal here — a follower seals exactly when the owner sealed,
   // at the owner's epoch, or the replica chains diverge.
   if (seal) SealLocked(*state, threads, &result, sealed_epoch);
@@ -840,11 +854,11 @@ Status LiveGraphManager::SnapshotNow(const std::string& name,
   return WriteSnapshotLocked(*state, error) ? Status::kOk : Status::kShutdown;
 }
 
-size_t LiveGraphManager::PendingEdges(const std::string& name) const {
+size_t LiveGraphManager::PendingEdges(const std::string& name) {
   LiveGraphState* state = FindState(name);
   if (state == nullptr) return 0;
   std::lock_guard<std::mutex> lock(state->mu);
-  return state->pending.size();
+  return ResyncLocked(*state, nullptr) ? state->pending.size() : 0;
 }
 
 LiveGraphManager::Stats LiveGraphManager::stats() const {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -143,13 +144,18 @@ class LiveGraphManager {
   /// is installed as-is. With durability attached it journals and
   /// snapshots like a local write, so a follower rejoins from its own data
   /// dir at the owner's epochs. Returns kBadRequest with the local epoch in
-  /// `epoch` when `expected_epoch` does not match the local chain (the
-  /// cluster answers 409 and the owner falls back to a full-state sync;
-  /// recovery refuses the data dir).
+  /// `epoch` when `expected_epoch` does not match the local chain, and with
+  /// the local buffer length in `pending` when `expected_pending` (the
+  /// owner's buffer length before the batch) does not match the local
+  /// buffer — an unsealed batch does not advance the epoch, so the epoch
+  /// alone cannot show a missed one. Either way the cluster answers 409
+  /// and the owner falls back to a full-state sync; recovery, which passes
+  /// no `expected_pending`, refuses the data dir.
   ApplyResult ApplyReplicated(const std::string& name,
                               std::span<const EdgeUpdate> updates, bool seal,
                               uint64_t expected_epoch, uint64_t sealed_epoch,
-                              int threads = 0);
+                              int threads = 0,
+                              std::optional<size_t> expected_pending = {});
 
   /// A copy of one graph's replicated essentials: the sealed edge list at
   /// `epoch` plus the acked-but-unsealed pending buffer. What the owner
@@ -166,8 +172,9 @@ class LiveGraphManager {
   /// (false when unregistered).
   bool ExportState(const std::string& name, ExportedState* out);
 
-  /// Buffered updates for `name` (0 when untracked).
-  size_t PendingEdges(const std::string& name) const;
+  /// Buffered updates for `name`, resynced against the registry (0 when
+  /// untracked or unregistered).
+  size_t PendingEdges(const std::string& name);
 
   // -- durability ---------------------------------------------------------
 
@@ -186,9 +193,11 @@ class LiveGraphManager {
   Status RestoreSnapshot(const durability::SnapshotData& data,
                          std::string* error);
 
-  /// Unregistration: discards resident live state for `name`. Not safe
-  /// against concurrent writes to `name` (a writer that already looked
-  /// the state up would keep using it).
+  /// Recovery's replay of a journaled unregister record (data dirs may
+  /// hold them): discards resident live state for `name`. Not safe against
+  /// concurrent writes to `name` (a writer that already looked the state
+  /// up would keep using it), so only recovery, which runs before serving
+  /// starts, calls it.
   bool DropState(const std::string& name);
 
   /// Writes an on-demand snapshot of `name` (the admin endpoint), resynced
@@ -253,13 +262,15 @@ class LiveGraphManager {
   bool ResyncLocked(LiveGraphState& state, std::string* error);
 
   /// The one buffer routine behind ApplyEdges and ApplyReplicated: resync,
-  /// check `expected_epoch` (0 = whatever the local chain is at), check
-  /// the batch fits the registered shape, journal it, append it to the
-  /// pending buffer, count it. Fills result->status/error/epoch/accepted/
-  /// pending; false when the batch was rejected. Caller holds the state
-  /// mutex.
+  /// check `expected_epoch` (0 = whatever the local chain is at) and
+  /// `expected_pending` (unset = whatever the buffer holds), check the
+  /// batch fits the registered shape, journal it, append it to the pending
+  /// buffer, count it. Fills result->status/error/epoch/accepted/pending;
+  /// false when the batch was rejected. Caller holds the state mutex.
   bool BufferLocked(LiveGraphState& state, std::span<const EdgeUpdate> updates,
-                    uint64_t expected_epoch, ApplyResult* result);
+                    uint64_t expected_epoch,
+                    std::optional<size_t> expected_pending,
+                    ApplyResult* result);
 
   /// Builds (or rebuilds) the baseline for one config on the state's
   /// current graph: a seal run with nothing to reuse. Caller holds the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <type_traits>
 
 #include "util/json.h"
 
@@ -143,39 +144,16 @@ void WriteEdgeUpdatesJson(std::span<const EdgeUpdate> updates,
 }
 
 void WritePeelStatsJson(const PeelStats& stats, util::JsonWriter* writer) {
-  writer->BeginObject()
-      .Key("wedges_counting").Uint(stats.wedges_counting)
-      .Key("wedges_cd").Uint(stats.wedges_cd)
-      .Key("wedges_fd").Uint(stats.wedges_fd)
-      .Key("wedges_other").Uint(stats.wedges_other)
-      .Key("sync_rounds").Uint(stats.sync_rounds)
-      .Key("peel_iterations").Uint(stats.peel_iterations)
-      .Key("huc_recounts").Uint(stats.huc_recounts)
-      .Key("dgm_compactions").Uint(stats.dgm_compactions)
-      .Key("frontier_rounds").Uint(stats.frontier_rounds)
-      .Key("scan_rounds").Uint(stats.scan_rounds)
-      .Key("index_build_rounds").Uint(stats.index_build_rounds)
-      .Key("scan_build_elements").Uint(stats.scan_build_elements)
-      .Key("frontier_build_elements").Uint(stats.frontier_build_elements)
-      .Key("index_active_elements").Uint(stats.index_active_elements)
-      .Key("active_scan_elements").Uint(stats.active_scan_elements)
-      .Key("bound_walk_buckets").Uint(stats.bound_walk_buckets)
-      .Key("histogram_refines").Uint(stats.histogram_refines)
-      .Key("init_patch_elements").Uint(stats.init_patch_elements)
-      .Key("index_rebuild_elements").Uint(stats.index_rebuild_elements)
-      .Key("placement_nodes").Uint(stats.placement_nodes)
-      .Key("placement_local_pops").Uint(stats.placement_local_pops)
-      .Key("placement_remote_steals").Uint(stats.placement_remote_steals)
-      .Key("makespan_predicted").Uint(stats.makespan_predicted)
-      .Key("makespan_measured").Uint(stats.makespan_measured)
-      .Key("num_subsets").Uint(stats.num_subsets)
-      .Key("scan_cost_per_element").Double(stats.scan_cost_per_element)
-      .Key("frontier_cost_per_element").Double(stats.frontier_cost_per_element)
-      .Key("seconds_counting").Double(stats.seconds_counting)
-      .Key("seconds_cd").Double(stats.seconds_cd)
-      .Key("seconds_fd").Double(stats.seconds_fd)
-      .Key("seconds_total").Double(stats.seconds_total)
-      .EndObject();
+  writer->BeginObject();
+  ForEachPeelStatsField([&](const char* name, auto member, StatFold) {
+    writer->Key(name);
+    if constexpr (std::is_same_v<decltype(stats.*member), const double&>) {
+      writer->Double(stats.*member);
+    } else {
+      writer->Uint(stats.*member);
+    }
+  });
+  writer->EndObject();
 }
 
 void WriteResponseJson(const Request& request, const Response& response,

@@ -168,8 +168,8 @@ bool EdgeUpdatesFromJson(const util::JsonValue& json, std::string_view field,
 void WriteEdgeUpdatesJson(std::span<const EdgeUpdate> updates,
                           util::JsonWriter* writer);
 
-/// Writes every PeelStats counter and per-phase timing as one JSON object
-/// (the same quantities AppendPeelStats exports to bench JSON).
+/// Writes every PeelStats field as one JSON object, keyed by its name in
+/// ForEachPeelStatsField (the list the bench JSON also follows).
 void WritePeelStatsJson(const PeelStats& stats, util::JsonWriter* writer);
 
 /// Writes the full wire form of a terminal Response: status/error, the

@@ -64,15 +64,6 @@ struct TipOptions {
   /// implementation ablation; see bench_ablation_extraction).
   MinExtraction min_extraction = MinExtraction::kDAryHeap;
 
-  /// RECEIPT CD only: how the engine's direction optimization picks each
-  /// round's active-set rebuild — a merge of the workspace frontiers or a
-  /// full parallel scan. kMeasuredCost (default) compares measured
-  /// per-element rebuild costs (adaptive, timing-dependent counters);
-  /// kFixedDensity, kScanOnly and kFrontierOnly give deterministic counters
-  /// (the direction-forcing tests and benches pin them). Results are
-  /// bit-identical under every rule.
-  FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
-
   /// Caller-owned per-thread scratch. When set, the decomposition runs on
   /// these workspaces instead of allocating its own pool — the service layer
   /// passes each worker's pool here so scratch reuse spans *requests*, not

@@ -5,80 +5,29 @@
 
 namespace receipt {
 
+// Every PeelStats field is 8 bytes wide, so a field declared without its
+// ForEachPeelStatsField line fails here.
+static_assert(sizeof(PeelStats) == 8 * [] {
+  size_t fields = 0;
+  ForEachPeelStatsField([&](const char*, auto, StatFold) { ++fields; });
+  return fields;
+}());
+
 void PeelStats::Merge(const PeelStats& other) {
-  wedges_counting += other.wedges_counting;
-  wedges_cd += other.wedges_cd;
-  wedges_fd += other.wedges_fd;
-  wedges_other += other.wedges_other;
-  sync_rounds += other.sync_rounds;
-  peel_iterations += other.peel_iterations;
-  huc_recounts += other.huc_recounts;
-  dgm_compactions += other.dgm_compactions;
-  frontier_rounds += other.frontier_rounds;
-  scan_rounds += other.scan_rounds;
-  index_build_rounds += other.index_build_rounds;
-  scan_build_elements += other.scan_build_elements;
-  frontier_build_elements += other.frontier_build_elements;
-  index_active_elements += other.index_active_elements;
-  active_scan_elements += other.active_scan_elements;
-  bound_walk_buckets += other.bound_walk_buckets;
-  histogram_refines += other.histogram_refines;
-  init_patch_elements += other.init_patch_elements;
-  index_rebuild_elements += other.index_rebuild_elements;
-  incremental_replay_elements += other.incremental_replay_elements;
-  incremental_ranges_reused += other.incremental_ranges_reused;
-  incremental_ranges_repeeled += other.incremental_ranges_repeeled;
-  // Cost gauges, not counters: keep the larger observation when folding.
-  scan_cost_per_element = std::max(scan_cost_per_element,
-                                   other.scan_cost_per_element);
-  frontier_cost_per_element = std::max(frontier_cost_per_element,
-                                       other.frontier_cost_per_element);
-  placement_local_pops += other.placement_local_pops;
-  placement_remote_steals += other.placement_remote_steals;
-  // Plan-level gauges, not counters: keep the widest plan when folding.
-  placement_nodes = std::max(placement_nodes, other.placement_nodes);
-  makespan_predicted = std::max(makespan_predicted, other.makespan_predicted);
-  makespan_measured = std::max(makespan_measured, other.makespan_measured);
-  num_subsets += other.num_subsets;
-  seconds_counting += other.seconds_counting;
-  seconds_cd += other.seconds_cd;
-  seconds_fd += other.seconds_fd;
-  seconds_total += other.seconds_total;
+  ForEachPeelStatsField([&](const char*, auto member, StatFold fold) {
+    this->*member = fold == StatFold::kMax
+                        ? std::max(this->*member, other.*member)
+                        : this->*member + other.*member;
+  });
 }
 
 std::string PeelStats::ToString() const {
   std::ostringstream os;
-  os << "PeelStats{\n"
-     << "  wedges: counting=" << wedges_counting << " cd=" << wedges_cd
-     << " fd=" << wedges_fd << " other=" << wedges_other
-     << " total=" << TotalWedges() << "\n"
-     << "  sync_rounds=" << sync_rounds
-     << " peel_iterations=" << peel_iterations << "\n"
-     << "  huc_recounts=" << huc_recounts
-     << " dgm_compactions=" << dgm_compactions
-     << " num_subsets=" << num_subsets << "\n"
-     << "  frontier_rounds=" << frontier_rounds
-     << " scan_rounds=" << scan_rounds
-     << " index_build_rounds=" << index_build_rounds << "\n"
-     << "  scan_build_elements=" << scan_build_elements
-     << " frontier_build_elements=" << frontier_build_elements
-     << " index_active_elements=" << index_active_elements
-     << " active_scan_elements=" << active_scan_elements << "\n"
-     << "  placement: nodes=" << placement_nodes
-     << " local_pops=" << placement_local_pops
-     << " remote_steals=" << placement_remote_steals
-     << " makespan_predicted=" << makespan_predicted
-     << " makespan_measured=" << makespan_measured << "\n"
-     << "  bound_walk_buckets=" << bound_walk_buckets
-     << " histogram_refines=" << histogram_refines
-     << " init_patch_elements=" << init_patch_elements
-     << " index_rebuild_elements=" << index_rebuild_elements << "\n"
-     << "  incremental: replay_elements=" << incremental_replay_elements
-     << " ranges_reused=" << incremental_ranges_reused
-     << " ranges_repeeled=" << incremental_ranges_repeeled << "\n"
-     << "  seconds: counting=" << seconds_counting << " cd=" << seconds_cd
-     << " fd=" << seconds_fd << " total=" << seconds_total << "\n"
-     << "}";
+  os << "PeelStats{\n";
+  ForEachPeelStatsField([&](const char* name, auto member, StatFold) {
+    os << "  " << name << "=" << this->*member << "\n";
+  });
+  os << "  total_wedges=" << TotalWedges() << "\n}";
   return os.str();
 }
 

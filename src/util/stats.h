@@ -13,6 +13,10 @@ namespace receipt {
 /// wall-clock time (Figs. 7 & 9). Counting a "wedge traversed" means one
 /// execution of the innermost loop body in Alg. 1 (counting) or Alg. 2
 /// (peeling update).
+///
+/// Every field is also listed once in ForEachPeelStatsField below, which
+/// drives Merge, ToString, the service's JSON stats object and the bench
+/// JSON records.
 struct PeelStats {
   // -- wedge traversal, by phase ------------------------------------------
   uint64_t wedges_counting = 0;   ///< pvBcnt wedges (initial support init).
@@ -37,12 +41,10 @@ struct PeelStats {
   uint64_t huc_recounts = 0;      ///< # iterations where HUC chose re-count.
   uint64_t dgm_compactions = 0;   ///< # dynamic-graph compaction passes.
 
-  // -- frontier scheduling: what ran ---------------------------------------
-  // Per-direction build counts and elements examined. These report the
-  // work that actually executed; the EWMA gauges further down report what
-  // each element cost. Keeping the two groups separate is what lets the
-  // measured-cost switch be the default without muddying the "what ran"
-  // counters the equivalence suites and bench gates assert on.
+  // -- frontier scheduling --------------------------------------------------
+  // Per-direction build counts and elements examined. The direction rule
+  // depends only on set sizes (see kFrontierDensity), so these counters are
+  // identical across thread counts and repeats.
   /// Active-set builds served by merging the workspace frontier buffers
   /// (sparse direction: cost proportional to the frontier, not to n).
   uint64_t frontier_rounds = 0;
@@ -93,16 +95,6 @@ struct PeelStats {
   /// desynced after an earlier divergence).
   uint64_t incremental_ranges_repeeled = 0;
 
-  // -- frontier scheduling: what it cost -----------------------------------
-  // EWMA gauges backing the kMeasuredCost direction switch (the default).
-  // Timing-dependent by nature — never asserted for determinism.
-  /// EWMA seconds per examined element of full-scan active-set rebuilds,
-  /// as last observed by the run (0 while unsampled).
-  double scan_cost_per_element = 0.0;
-  /// EWMA seconds per examined element of frontier-merge rebuilds, as last
-  /// observed by the run (0 while unsampled).
-  double frontier_cost_per_element = 0.0;
-
   // -- placement & scheduling (cost-model-driven FD / service) -------------
   /// Nodes the placement plan spanned (gauge: Merge keeps the max).
   uint64_t placement_nodes = 0;
@@ -134,12 +126,60 @@ struct PeelStats {
     return wedges_counting + wedges_cd + wedges_fd + wedges_other;
   }
 
-  /// Accumulates `other` into this object (used to fold per-thread stats).
+  /// Accumulates `other` into this object (used to fold per-thread stats):
+  /// each field by its StatFold rule.
   void Merge(const PeelStats& other);
 
-  /// Human-readable one-object dump (multi-line) for logs and examples.
+  /// Human-readable one-object dump (one `name=value` line per field) for
+  /// logs and examples.
   std::string ToString() const;
 };
+
+/// How PeelStats::Merge folds a field: counters and times add up, plan
+/// gauges keep the widest plan.
+enum class StatFold { kSum, kMax };
+
+/// The one list of PeelStats fields: calls `visit(name, member, fold)` for
+/// each, where `member` is a `uint64_t` or `double` pointer-to-member and
+/// `name` is also the field's JSON key.
+template <typename Visit>
+constexpr void ForEachPeelStatsField(Visit&& visit) {
+  using S = PeelStats;
+  constexpr StatFold kSum = StatFold::kSum;
+  constexpr StatFold kMax = StatFold::kMax;
+  visit("wedges_counting", &S::wedges_counting, kSum);
+  visit("wedges_cd", &S::wedges_cd, kSum);
+  visit("wedges_fd", &S::wedges_fd, kSum);
+  visit("wedges_other", &S::wedges_other, kSum);
+  visit("sync_rounds", &S::sync_rounds, kSum);
+  visit("peel_iterations", &S::peel_iterations, kSum);
+  visit("huc_recounts", &S::huc_recounts, kSum);
+  visit("dgm_compactions", &S::dgm_compactions, kSum);
+  visit("frontier_rounds", &S::frontier_rounds, kSum);
+  visit("scan_rounds", &S::scan_rounds, kSum);
+  visit("index_build_rounds", &S::index_build_rounds, kSum);
+  visit("scan_build_elements", &S::scan_build_elements, kSum);
+  visit("frontier_build_elements", &S::frontier_build_elements, kSum);
+  visit("index_active_elements", &S::index_active_elements, kSum);
+  visit("active_scan_elements", &S::active_scan_elements, kSum);
+  visit("bound_walk_buckets", &S::bound_walk_buckets, kSum);
+  visit("histogram_refines", &S::histogram_refines, kSum);
+  visit("init_patch_elements", &S::init_patch_elements, kSum);
+  visit("index_rebuild_elements", &S::index_rebuild_elements, kSum);
+  visit("incremental_replay_elements", &S::incremental_replay_elements, kSum);
+  visit("incremental_ranges_reused", &S::incremental_ranges_reused, kSum);
+  visit("incremental_ranges_repeeled", &S::incremental_ranges_repeeled, kSum);
+  visit("placement_nodes", &S::placement_nodes, kMax);
+  visit("placement_local_pops", &S::placement_local_pops, kSum);
+  visit("placement_remote_steals", &S::placement_remote_steals, kSum);
+  visit("makespan_predicted", &S::makespan_predicted, kMax);
+  visit("makespan_measured", &S::makespan_measured, kMax);
+  visit("num_subsets", &S::num_subsets, kSum);
+  visit("seconds_counting", &S::seconds_counting, kSum);
+  visit("seconds_cd", &S::seconds_cd, kSum);
+  visit("seconds_fd", &S::seconds_fd, kSum);
+  visit("seconds_total", &S::seconds_total, kSum);
+}
 
 }  // namespace receipt
 

@@ -35,33 +35,13 @@ inline const char* SideName(Side side) { return side == Side::kU ? "U" : "V"; }
 /// n choose 2 without overflow for the magnitudes we care about.
 inline constexpr Count Choose2(Count n) { return n < 2 ? 0 : n * (n - 1) / 2; }
 
-/// Frontier-density threshold of the fixed-density rebuild rule
+/// Frontier-density threshold of range peeling's active-set rebuild
 /// (Julienne-style direction optimization): while the round's frontier
 /// holds fewer than this fraction of the remaining alive entities, the next
 /// active set is built by merging workspace frontiers; at or above it, the
-/// engine falls back to a full parallel scan.
+/// engine falls back to a full parallel scan. Both directions build the
+/// same set, so the threshold trades rebuild cost, never results.
 inline constexpr double kFrontierDensity = 0.2;
-
-/// How range peeling picks the active-set rebuild direction each round.
-/// Every rule produces bit-identical decompositions — they only trade
-/// rebuild cost — so the switch is safe to flip per run.
-enum class FrontierSwitch {
-  /// Fixed fraction rule: merge frontiers while the round's frontier holds
-  /// fewer than kFrontierDensity × (remaining alive) entities.
-  /// Deterministic round counters across repeated runs.
-  kFixedDensity,
-  /// Adaptive rule: compare the measured per-element rebuild cost of the
-  /// two directions (EWMAs over this run's observed rebuilds) and take the
-  /// cheaper predicted side; falls back to the density rule until both
-  /// directions have been sampled. Round counters become timing-dependent,
-  /// results never do.
-  kMeasuredCost,
-  /// Always rebuild the next active set by a full scan (the pre-frontier
-  /// behavior).
-  kScanOnly,
-  /// Always rebuild the next active set by a frontier merge.
-  kFrontierOnly,
-};
 
 }  // namespace receipt
 

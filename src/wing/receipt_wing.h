@@ -21,10 +21,6 @@ struct ReceiptWingOptions {
   /// suffices; large values inflate the fine-grained environment graphs.
   int num_partitions = 8;
 
-  /// Coarse step only: rebuild-direction rule (see
-  /// TipOptions::frontier_switch; bit-identical under every rule).
-  FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
-
   /// Caller-owned per-thread scratch (see TipOptions::workspace_pool).
   engine::WorkspacePool* workspace_pool = nullptr;
 

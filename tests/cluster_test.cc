@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -640,6 +641,51 @@ TEST_F(ClusterFixture, CrashedFollowerRejoinsFromItsOwnDataDir) {
   EXPECT_EQ(Numbers(from_owner.body), Numbers(from_follower.body));
 }
 
+// An unsealed batch does not advance the epoch, so a follower that was
+// down for one rejoins on the owner's epoch with a shorter buffer. The
+// next replicated batch must not pass the chain check on the epoch alone:
+// the follower answers 409 on the buffer length and the owner syncs it,
+// instead of both sealing the same epoch over different edge sets.
+TEST_F(ClusterFixture, FollowerThatMissedAnUnsealedBatchResyncs) {
+  StartCluster(/*proxy=*/true, /*durable=*/true);
+  RegisterGraph(Owner("g").port(), "g");
+  const std::string follower = Holders("g")[1];
+  const std::vector<BipartiteGraph::Edge> before =
+      Owner("g").registry->Acquire("g").graph().ToEdges();
+  for (const BipartiteGraph::Edge added :
+       {BipartiteGraph::Edge{1, 2}, BipartiteGraph::Edge{3, 4},
+        BipartiteGraph::Edge{5, 6}}) {
+    ASSERT_EQ(std::count(before.begin(), before.end(), added), 0);
+  }
+
+  replicas_[follower]->Stop();
+  const auto unsealed = Post(Owner("g").port(), "/v1/graphs/g/edges",
+                             "{\"edges\":[{\"op\":\"insert\",\"u\":1,\"v\":2},"
+                             "{\"op\":\"insert\",\"u\":3,\"v\":4}]}");
+  ASSERT_EQ(unsealed.status, 200) << unsealed.body;
+
+  replicas_[follower] = std::make_unique<TestReplica>();
+  replicas_[follower]->Start(follower, ids_, kReplication, /*proxy=*/true,
+                             dir_.path() + "/data-" + follower);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ConnectAll();
+
+  const auto sealed =
+      Post(Owner("g").port(), "/v1/graphs/g/edges",
+           "{\"edges\":[{\"op\":\"insert\",\"u\":5,\"v\":6}],\"seal\":true}");
+  ASSERT_EQ(sealed.status, 200) << sealed.body;
+  EXPECT_GE(Owner("g").node->stats().chain_syncs, 1u);
+
+  const service::GraphHandle owner = Owner("g").registry->Acquire("g");
+  const service::GraphHandle replica =
+      replicas_[follower]->registry->Acquire("g");
+  ASSERT_TRUE(static_cast<bool>(replica));
+  EXPECT_EQ(replica.epoch(), owner.epoch());
+  EXPECT_EQ(replica.graph().num_edges(), owner.graph().num_edges());
+  EXPECT_EQ(replica.graph().ToEdges(), owner.graph().ToEdges());
+  EXPECT_EQ(owner.graph().num_edges(), before.size() + 3);
+}
+
 // Replica-to-replica bodies are untrusted input too: a shape or edge the
 // graph build cannot hold must be a 400, never an abort of the replica.
 TEST_F(ClusterFixture, MalformedClusterRegisterAndSyncBodiesAre400) {
@@ -713,6 +759,18 @@ TEST_F(ClusterFixture, ReplicatedBatchOffTheLocalChainIs409) {
       Post(port, "/v1/cluster/edges",
            "{\"graph\":\"x\",\"expected_epoch\":5," + edges);
   EXPECT_EQ(applied.status, 200) << applied.body;
+  // The owner's buffer length is part of the chain: one unsealed update is
+  // buffered now, so a batch expecting an empty buffer is off the chain.
+  const auto short_buffer =
+      Post(port, "/v1/cluster/edges",
+           "{\"graph\":\"x\",\"expected_epoch\":5,"
+           "\"expected_pending\":0," + edges);
+  EXPECT_EQ(short_buffer.status, 409) << short_buffer.body;
+  const auto on_chain =
+      Post(port, "/v1/cluster/edges",
+           "{\"graph\":\"x\",\"expected_epoch\":5,"
+           "\"expected_pending\":1," + edges);
+  EXPECT_EQ(on_chain.status, 200) << on_chain.body;
 }
 
 TEST_F(ClusterFixture, RouteEndpointAgreesAcrossAllMembers) {

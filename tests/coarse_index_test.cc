@@ -43,18 +43,6 @@ BipartiteGraph SweepGraph(bool skewed, uint32_t seed) {
                 : RandomBipartite(400, 260, 3000, seed);
 }
 
-template <typename Id>
-void ExpectOracleRanges(const oracle::OracleRanges<Id>& expected,
-                        const engine::RangeResult<Id>& actual) {
-  EXPECT_EQ(actual.bounds, expected.bounds);
-  EXPECT_EQ(actual.subsets, expected.subsets);
-  EXPECT_EQ(actual.subset_of, expected.subset_of);
-  EXPECT_EQ(actual.init_support, expected.init_support);
-  // The cost-model input rides along: the histogram's prefix prediction
-  // must equal the naive cost mass below each bound.
-  EXPECT_EQ(actual.predicted_costs, expected.predicted_costs);
-}
-
 void ExpectSameRanges(const engine::RangeResult<VertexId>& a,
                       const engine::RangeResult<VertexId>& b) {
   EXPECT_EQ(a.bounds, b.bounds);
@@ -62,6 +50,13 @@ void ExpectSameRanges(const engine::RangeResult<VertexId>& a,
   EXPECT_EQ(a.subset_of, b.subset_of);
   EXPECT_EQ(a.init_support, b.init_support);
   EXPECT_EQ(a.predicted_costs, b.predicted_costs);
+}
+
+void ExpectSameDirectionCounters(const PeelStats& a, const PeelStats& b) {
+  EXPECT_EQ(a.frontier_rounds, b.frontier_rounds);
+  EXPECT_EQ(a.scan_rounds, b.scan_rounds);
+  EXPECT_EQ(a.active_scan_elements, b.active_scan_elements);
+  EXPECT_EQ(a.index_build_rounds, b.index_build_rounds);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,7 +188,7 @@ TEST_P(CoarseIndexTipSweep, EngineMatchesOracle) {
 
     PeelStats stats;
     const CdResult cd = ReceiptCd(g, options, &stats);
-    ExpectOracleRanges(expected, cd);
+    oracle::ExpectRanges(expected, cd);
 
     // Same peeling structure as the oracle: HUC re-counts change how
     // supports are refreshed, never what is peeled when. The work done is
@@ -202,6 +197,9 @@ TEST_P(CoarseIndexTipSweep, EngineMatchesOracle) {
     if (threads == 1) one_thread = stats;
     EXPECT_EQ(stats.TotalWedges(), one_thread.TotalWedges());
     EXPECT_EQ(stats.huc_recounts, one_thread.huc_recounts);
+    // The rebuild direction depends only on set sizes, so its counters
+    // are schedule-independent too.
+    ExpectSameDirectionCounters(one_thread, stats);
 
     // Bound determination is routed through the index.
     EXPECT_GT(stats.bound_walk_buckets, 0u);
@@ -229,6 +227,7 @@ TEST(CoarseIndexTipTest, IndexedPathIsThreadCountInvariant) {
     PeelStats st;
     const CdResult many = ReceiptCd(g, options, &st);
     ExpectSameRanges(one, many);
+    ExpectSameDirectionCounters(s1, st);
   }
 }
 
@@ -254,7 +253,7 @@ TEST_P(CoarseIndexWingSweep, EngineMatchesOracle) {
 
       PeelStats stats;
       const auto coarse = ReceiptWingCoarse(g, options, &stats);
-      ExpectOracleRanges(expected, coarse);
+      oracle::ExpectRanges(expected, coarse);
       EXPECT_EQ(stats.sync_rounds, expected.rounds);
       EXPECT_GT(stats.bound_walk_buckets, 0u);
     }
@@ -264,42 +263,38 @@ TEST_P(CoarseIndexWingSweep, EngineMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Sweep, CoarseIndexWingSweep, ::testing::Bool());
 
 // ---------------------------------------------------------------------------
-// End-to-end: the rebuild-direction rule never changes final numbers.
+// End-to-end: the indexed coarse step feeds FD the exact final numbers.
 // ---------------------------------------------------------------------------
 
-constexpr FrontierSwitch kAllSwitches[] = {
-    FrontierSwitch::kFixedDensity, FrontierSwitch::kMeasuredCost,
-    FrontierSwitch::kScanOnly, FrontierSwitch::kFrontierOnly};
-
-TEST(CoarseIndexEndToEndTest, TipNumbersMatchBupUnderEveryPath) {
+TEST(CoarseIndexEndToEndTest, TipNumbersMatchBup) {
   const BipartiteGraph g = SweepGraph(/*skewed=*/true, 347u);
   TipOptions bup_options;
   const TipResult bup = BupDecompose(g, bup_options);
 
-  for (const FrontierSwitch frontier_switch : kAllSwitches) {
-    TipOptions options;
-    options.num_threads = 3;
-    options.num_partitions = 7;
-    options.frontier_switch = frontier_switch;
-    const TipResult r = ReceiptDecompose(g, options);
-    EXPECT_EQ(r.tip_numbers, bup.tip_numbers)
-        << "switch " << static_cast<int>(frontier_switch);
-  }
+  TipOptions options;
+  options.num_threads = 3;
+  options.num_partitions = 7;
+  const TipResult r = ReceiptDecompose(g, options);
+  EXPECT_EQ(r.tip_numbers, bup.tip_numbers);
+
+  PeelStats stats;
+  oracle::ExpectRanges(oracle::CoarseRanges(oracle::TipModel(g), 7),
+                       ReceiptCd(g, options, &stats));
 }
 
-TEST(CoarseIndexEndToEndTest, WingNumbersMatchSequentialUnderEveryPath) {
+TEST(CoarseIndexEndToEndTest, WingNumbersMatchSequential) {
   const BipartiteGraph g = ChungLuBipartite(40, 30, 170, 0.6, 0.6, 353);
   const WingResult sequential = WingDecompose(g, /*num_threads=*/1);
 
-  for (const FrontierSwitch frontier_switch : kAllSwitches) {
-    ReceiptWingOptions options;
-    options.num_threads = 2;
-    options.num_partitions = 4;
-    options.frontier_switch = frontier_switch;
-    const WingResult r = ReceiptWingDecompose(g, options);
-    EXPECT_EQ(r.wing_numbers, sequential.wing_numbers)
-        << "switch " << static_cast<int>(frontier_switch);
-  }
+  ReceiptWingOptions options;
+  options.num_threads = 2;
+  options.num_partitions = 4;
+  const WingResult r = ReceiptWingDecompose(g, options);
+  EXPECT_EQ(r.wing_numbers, sequential.wing_numbers);
+
+  PeelStats stats;
+  oracle::ExpectRanges(oracle::CoarseRanges(oracle::WingModel(g), 4),
+                       ReceiptWingCoarse(g, options, &stats));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 //
 // The coarse suites compare every RangeResult field the engine produces —
 // bounds, subsets (in peel order), subset_of, init_support and
-// predicted_costs — plus its sync-round count against this oracle.
+// predicted_costs (ExpectRanges) — plus its sync-round count against this
+// oracle.
 
 #ifndef RECEIPT_TESTS_COARSE_ORACLE_H_
 #define RECEIPT_TESTS_COARSE_ORACLE_H_
@@ -20,6 +21,9 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "engine/range_result.h"
 #include "graph/bipartite_graph.h"
 #include "util/types.h"
 
@@ -247,6 +251,19 @@ OracleRanges<typename Model::Id> CoarseRanges(const Model& model,
     out.bounds.push_back(hi);
   }
   return out;
+}
+
+/// Expects the engine's RangeResult to equal the oracle's on every field.
+template <typename Id>
+void ExpectRanges(const OracleRanges<Id>& expected,
+                  const engine::RangeResult<Id>& actual) {
+  EXPECT_EQ(actual.bounds, expected.bounds);
+  EXPECT_EQ(actual.subsets, expected.subsets);
+  EXPECT_EQ(actual.subset_of, expected.subset_of);
+  EXPECT_EQ(actual.init_support, expected.init_support);
+  // The cost-model input rides along: the histogram's prefix prediction
+  // must equal the naive cost mass below each bound.
+  EXPECT_EQ(actual.predicted_costs, expected.predicted_costs);
 }
 
 }  // namespace receipt::oracle

@@ -3,25 +3,25 @@
 // ReceiptWingDecompose identical wing numbers, on randomized sweeps — all
 // five drivers now route through src/engine/, so these sweeps pin the
 // engine's kernels against each other (Theorem 2 and the §7 extension).
+// The coarse steps are also checked field by field against the naive
+// oracle in coarse_oracle.h, which shares no engine code.
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 #include <vector>
 
+#include "coarse_oracle.h"
 #include "graph/generators.h"
 #include "tip/bup.h"
 #include "tip/parb.h"
 #include "tip/receipt.h"
+#include "tip/receipt_cd.h"
 #include "wing/receipt_wing.h"
 #include "wing/wing_decomposition.h"
 
 namespace receipt {
 namespace {
-
-constexpr FrontierSwitch kAllSwitches[] = {
-    FrontierSwitch::kFixedDensity, FrontierSwitch::kMeasuredCost,
-    FrontierSwitch::kScanOnly, FrontierSwitch::kFrontierOnly};
 
 class TipEngineSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, uint32_t>> {};
@@ -44,24 +44,25 @@ TEST_P(TipEngineSweep, AllTipAlgorithmsAgree) {
     EXPECT_EQ(parb.tip_numbers, bup.tip_numbers)
         << "ParB vs BUP, side " << SideName(side) << ", seed " << seed;
 
+    const BipartiteGraph oriented = side == Side::kU ? g : g.SwappedCopy();
+    const oracle::TipModel model(oriented);
     for (const int partitions : {1, 5}) {
+      const auto expected = oracle::CoarseRanges(model, partitions);
       for (const bool optimized : {false, true}) {
-        // Sweep every rebuild-direction rule: tip numbers must not depend
-        // on how the engine rebuilds its active sets.
-        for (const FrontierSwitch frontier_switch : kAllSwitches) {
-          TipOptions receipt_options;
-          receipt_options.side = side;
-          receipt_options.num_threads = 2;
-          receipt_options.num_partitions = partitions;
-          receipt_options.use_huc = optimized;
-          receipt_options.use_dgm = optimized;
-          receipt_options.frontier_switch = frontier_switch;
-          const TipResult receipt = ReceiptDecompose(g, receipt_options);
-          EXPECT_EQ(receipt.tip_numbers, bup.tip_numbers)
-              << "RECEIPT vs BUP, side " << SideName(side) << ", P="
-              << partitions << ", opt=" << optimized << ", switch="
-              << static_cast<int>(frontier_switch) << ", seed " << seed;
-        }
+        TipOptions receipt_options;
+        receipt_options.side = side;
+        receipt_options.num_threads = 2;
+        receipt_options.num_partitions = partitions;
+        receipt_options.use_huc = optimized;
+        receipt_options.use_dgm = optimized;
+        const TipResult receipt = ReceiptDecompose(g, receipt_options);
+        EXPECT_EQ(receipt.tip_numbers, bup.tip_numbers)
+            << "RECEIPT vs BUP, side " << SideName(side) << ", P="
+            << partitions << ", opt=" << optimized << ", seed " << seed;
+        PeelStats cd_stats;
+        oracle::ExpectRanges(expected,
+                             ReceiptCd(oriented, receipt_options, &cd_stats));
+        EXPECT_EQ(cd_stats.sync_rounds, expected.rounds);
       }
     }
   }
@@ -85,18 +86,20 @@ TEST_P(WingEngineSweep, SequentialAndReceiptWingAgree) {
 
   const WingResult sequential = WingDecompose(g, /*num_threads=*/1);
 
+  const oracle::WingModel model(g);
   for (const int partitions : {1, 4}) {
+    const auto expected = oracle::CoarseRanges(model, partitions);
     for (const int threads : {1, 3}) {
-      for (const FrontierSwitch frontier_switch : kAllSwitches) {
-        ReceiptWingOptions options;
-        options.num_threads = threads;
-        options.num_partitions = partitions;
-        options.frontier_switch = frontier_switch;
-        const WingResult parallel = ReceiptWingDecompose(g, options);
-        EXPECT_EQ(parallel.wing_numbers, sequential.wing_numbers)
-            << "P=" << partitions << ", T=" << threads << ", switch="
-            << static_cast<int>(frontier_switch) << ", seed " << seed;
-      }
+      ReceiptWingOptions options;
+      options.num_threads = threads;
+      options.num_partitions = partitions;
+      const WingResult parallel = ReceiptWingDecompose(g, options);
+      EXPECT_EQ(parallel.wing_numbers, sequential.wing_numbers)
+          << "P=" << partitions << ", T=" << threads << ", seed " << seed;
+      PeelStats coarse_stats;
+      oracle::ExpectRanges(expected,
+                           ReceiptWingCoarse(g, options, &coarse_stats));
+      EXPECT_EQ(coarse_stats.sync_rounds, expected.rounds);
     }
   }
 }

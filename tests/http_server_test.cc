@@ -1,4 +1,5 @@
-// Tests for the HTTP front-end: a raw loopback client drives the real
+// Tests for the HTTP front-end: the project's HTTP client (plus raw
+// loopback sockets for framing and keep-alive) drives the real
 // POSIX-socket server end to end — happy-path decompositions bit-identical
 // to the direct drivers, queue-admission 429s, malformed-body 400s,
 // disconnect-triggered cancellation, graceful shutdown draining, and the
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/http_client.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "server/decomposition_http.h"
@@ -134,12 +136,18 @@ FramedResult ReadFramedResponse(int fd, std::string* carry = nullptr) {
   return result;
 }
 
+/// One request through the project's HTTP client (cluster::HttpClient);
+/// the raw-socket helpers above stay for the framing, keep-alive and
+/// disconnect tests. A transport failure fails the test and yields status 0.
 ClientResult Fetch(uint16_t port, const std::string& method,
                    const std::string& path, const std::string& body = "") {
-  const int fd = SendRequest(port, method, path, body);
-  ClientResult result = ReadResponse(fd);
-  ::close(fd);
-  return result;
+  cluster::HttpClientResponse response;
+  std::string error;
+  EXPECT_TRUE(cluster::HttpClient(/*timeout_ms=*/60000)
+                  .Request(method, "127.0.0.1", port, path, body, {},
+                           &response, &error))
+      << method << " " << path << ": " << error;
+  return ClientResult{response.status, response.body};
 }
 
 util::JsonValue ParseBody(const ClientResult& result) {
@@ -207,10 +215,15 @@ TEST(HttpServerTest, DecomposeMatchesDirectDriverBitIdentically) {
       ReceiptDecompose(G1(), direct).tip_numbers;
   EXPECT_EQ(NumbersFrom(json), expected);
 
-  // The stats object rides along with real counters.
+  // The stats object rides along with real counters: one key per PeelStats
+  // field, named as in the field table.
   const util::JsonValue* stats = json.Find("stats");
   ASSERT_NE(stats, nullptr);
-  EXPECT_NE(stats->Find("wedges_counting"), nullptr);
+  ForEachPeelStatsField([&](const char* name, auto, StatFold) {
+    EXPECT_NE(stats->Find(name), nullptr) << name;
+  });
+  EXPECT_NE(stats->Find("incremental_ranges_reused"), nullptr);
+  EXPECT_EQ(stats->Find("scan_cost_per_element"), nullptr);
 }
 
 TEST(HttpServerTest, WingDecomposeMatchesDirectDriver) {

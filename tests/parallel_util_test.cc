@@ -141,12 +141,25 @@ TEST(ParallelUtilTest, PeelStatsMergeAndToString) {
   b.wedges_cd = 5;
   b.wedges_fd = 7;
   b.huc_recounts = 1;
+  a.placement_nodes = 3;
+  b.placement_nodes = 2;
+  b.makespan_measured = 9;
+  b.seconds_cd = 0.25;
   a.Merge(b);
   EXPECT_EQ(a.wedges_cd, 15u);
   EXPECT_EQ(a.wedges_fd, 7u);
   EXPECT_EQ(a.huc_recounts, 1u);
   EXPECT_EQ(a.TotalWedges(), 22u);
-  EXPECT_NE(a.ToString().find("sync_rounds=2"), std::string::npos);
+  EXPECT_DOUBLE_EQ(a.seconds_cd, 0.75);
+  // Plan gauges keep the widest plan instead of adding up.
+  EXPECT_EQ(a.placement_nodes, 3u);
+  EXPECT_EQ(a.makespan_measured, 9u);
+  const std::string dump = a.ToString();
+  EXPECT_NE(dump.find("sync_rounds=2"), std::string::npos);
+  // Every field is in the dump, gauges and incremental counters included.
+  ForEachPeelStatsField([&](const char* name, auto, StatFold) {
+    EXPECT_NE(dump.find(std::string(name) + "="), std::string::npos) << name;
+  });
 }
 
 }  // namespace
