@@ -1,11 +1,23 @@
 #include "engine/counting.h"
 
 #include <algorithm>
+#include <span>
 
+#include "engine/peel_kernels.h"
 #include "util/parallel.h"
 
 namespace receipt::engine {
 namespace {
+
+/// Length of the rank-bounded prefix of `nbrs` (Alg. 1 line 10): neighbors
+/// are sorted by ascending rank, so the first endpoint whose rank reaches
+/// `bound` ends the wedge group.
+size_t RankPrefix(const DynamicGraph& graph, std::span<const VertexId> nbrs,
+                  VertexId bound) {
+  size_t k = 0;
+  while (k < nbrs.size() && graph.Rank(nbrs[k]) < bound) ++k;
+  return k;
+}
 
 /// Body of Alg. 1 for one start point `sp`: the vertex-priority algorithm
 /// of Chiba–Nishizeki with the cache-efficient degree-descending relabeling
@@ -14,26 +26,29 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
                          VertexId sp, std::span<Count> support) {
   if (!graph.IsAlive(sp)) return;
   const VertexId sp_rank = graph.Rank(sp);
-  ws.touched.clear();
+  uint32_t* mult = ws.wedge_count.data();
+  const auto alive = [&graph](VertexId w) { return graph.IsAlive(w); };
 
+  // Uncompacted dead endpoints count as traversed wedges but are never
+  // gathered.
+  uint64_t wedges = 0;
+  size_t len = 0;
   for (const VertexId mp : graph.Neighbors(sp)) {
     if (!graph.IsAlive(mp)) continue;
-    // Neighbors are sorted by ascending rank, so the first endpoint that
-    // fails the priority rule ends this wedge group (Alg. 1 line 10).
-    const VertexId bound = std::min(graph.Rank(mp), sp_rank);
-    for (const VertexId ep : graph.Neighbors(mp)) {
-      if (graph.Rank(ep) >= bound) break;
-      ++ws.wedges_traversed;
-      if (!graph.IsAlive(ep)) continue;  // uncompacted dead entry
-      if (ws.wedge_count[ep]++ == 0) ws.touched.push_back(ep);
-    }
+    const auto nbrs = graph.Neighbors(mp);
+    const size_t k =
+        RankPrefix(graph, nbrs, std::min(graph.Rank(mp), sp_rank));
+    wedges += k;
+    len = GatherWedges(nbrs.first(k), alive, mult, ws.touched.data(), len);
   }
+  ws.wedges_traversed += wedges;
 
   // Same-side contribution: every pair of wedges with endpoints (sp, ep)
   // closes one butterfly; it belongs to both endpoints.
   Count sp_total = 0;
-  for (const VertexId ep : ws.touched) {
-    const Count bcnt = Choose2(ws.wedge_count[ep]);
+  for (size_t i = 0; i < len; ++i) {
+    const VertexId ep = ws.touched[i];
+    const Count bcnt = Choose2(mult[ep]);
     if (bcnt > 0) {
       AtomicAdd(&support[ep], bcnt);
       sp_total += bcnt;
@@ -44,23 +59,24 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
   // Opposite-side contribution: a wedge (sp, mp, ep) participates in
   // (wedge_count[ep] - 1) butterflies, all incident on its mid point.
   // Re-walking each mid point's rank-bounded prefix sums them, so a mid
-  // point takes one atomic per (sp, mp) pair rather than one per wedge.
+  // point takes one atomic per (sp, mp) pair rather than one per wedge. A
+  // dead endpoint has multiplicity 0 and a live one at least 1, so
+  // m - (m != 0) needs no liveness test.
   for (const VertexId mp : graph.Neighbors(sp)) {
     if (!graph.IsAlive(mp)) continue;
-    const VertexId bound = std::min(graph.Rank(mp), sp_rank);
+    const auto nbrs = graph.Neighbors(mp);
+    const size_t k =
+        RankPrefix(graph, nbrs, std::min(graph.Rank(mp), sp_rank));
     Count mp_total = 0;
-    for (const VertexId ep : graph.Neighbors(mp)) {
-      if (graph.Rank(ep) >= bound) break;
-      if (graph.IsAlive(ep)) mp_total += ws.wedge_count[ep] - 1;
+    for (const VertexId ep : nbrs.first(k)) {
+      const uint32_t m = mult[ep];
+      mp_total += m - (m != 0);
     }
     if (mp_total > 0) AtomicAdd(&support[mp], mp_total);
   }
 
-  // Restore the workspace's clean-state invariant (dense array zeroed,
-  // touched list drained) so scratch inspection between kernels is
-  // meaningful.
-  for (const VertexId ep : ws.touched) ws.wedge_count[ep] = 0;
-  ws.touched.clear();
+  // Restore the workspace's clean-state invariant (dense array zeroed).
+  for (size_t i = 0; i < len; ++i) mult[ws.touched[i]] = 0;
 }
 
 }  // namespace
@@ -99,29 +115,31 @@ uint64_t CountEdgeButterflies(const BipartiteGraph& graph, WorkspacePool& pool,
       graph.num_u(), num_threads, pool.workspaces(),
       [&](PeelWorkspace& ws, size_t ui) {
         const VertexId u = static_cast<VertexId>(ui);
-        ws.touched.clear();
+        uint32_t* mult = ws.wedge_count.data();
+        const auto not_u = [u](VertexId u2) { return u2 != u; };
+        uint64_t wedges = 0;
+        size_t len = 0;
         for (const VertexId gv : graph.Neighbors(u)) {
-          for (const VertexId u2 : graph.Neighbors(gv)) {
-            ++ws.wedges_traversed;
-            if (u2 == u) continue;
-            if (ws.wedge_count[u2]++ == 0) ws.touched.push_back(u2);
-          }
+          const auto nbrs = graph.Neighbors(gv);
+          wedges += nbrs.size();
+          len = GatherWedges(nbrs, not_u, mult, ws.touched.data(), len);
         }
-        // bcnt(u, v) = Σ_{u2 ∈ N(v)\{u}} (common(u, u2) − 1).
+        // bcnt(u, v) = Σ_{u2 ∈ N(v)\{u}} (common(u, u2) − 1); u itself has
+        // multiplicity 0, so m - (m != 0) covers it without a test.
         const EdgeOffset base = graph.NeighborOffset(u);
-        const auto nbrs = graph.Neighbors(u);
-        for (size_t j = 0; j < nbrs.size(); ++j) {
+        const auto u_nbrs = graph.Neighbors(u);
+        for (size_t j = 0; j < u_nbrs.size(); ++j) {
+          const auto nbrs = graph.Neighbors(u_nbrs[j]);
+          wedges += nbrs.size();
           Count bcnt = 0;
-          for (const VertexId u2 : graph.Neighbors(nbrs[j])) {
-            ++ws.wedges_traversed;
-            if (u2 == u) continue;
-            const uint64_t common = ws.wedge_count[u2];
-            if (common >= 2) bcnt += common - 1;
+          for (const VertexId u2 : nbrs) {
+            const uint32_t m = mult[u2];
+            bcnt += m - (m != 0);
           }
           support[base + j] = bcnt;
         }
-        for (const VertexId u2 : ws.touched) ws.wedge_count[u2] = 0;
-        ws.touched.clear();
+        ws.wedges_traversed += wedges;
+        for (size_t i = 0; i < len; ++i) mult[ws.touched[i]] = 0;
       });
   return pool.TotalWedges() - wedges_before;
 }

@@ -30,12 +30,13 @@ namespace receipt::engine {
 // ===========================================================================
 // Peel-entity adapters: the two instantiations of the engine's entity
 // parameter. Both expose the same surface — liveness, support access, the
-// peel life-cycle, and an atomic peel-one kernel — so RangeDecomposer below
-// is written once for vertices (tip) and edges (wing).
+// peel life-cycle, and a concurrent one-round peel kernel — so
+// RangeDecomposer below is written once for vertices (tip) and edges (wing).
 // ===========================================================================
 
 /// Vertex (tip) peel entity: U vertices of a DynamicGraph, support updated
-/// by the Alg. 2 wedge-aggregation kernel.
+/// by the Alg. 2 wedge-aggregation kernel with per-thread round
+/// aggregation (ParallelPeelRound).
 class TipPeelGraph {
  public:
   using Id = VertexId;
@@ -61,11 +62,15 @@ class TipPeelGraph {
   void BeginPeel(Id u) { live_->Kill(u); }
   void EndRound(std::span<const Id>) {}
 
+  /// Peels one round concurrently (the round's members already went
+  /// through BeginPeel): `on_updated(ws, u2, new_support)` fires on the
+  /// worker thread for each survivor it updated. Returns wedges traversed.
   template <typename OnUpdated>
-  uint64_t PeelOneAtomic(Id u, Count floor, PeelWorkspace& ws,
-                         OnUpdated&& on_updated) {
-    return PeelVertex</*kAtomic=*/true>(*live_, u, floor, support_, ws,
-                                        std::forward<OnUpdated>(on_updated));
+  uint64_t PeelRound(std::span<const Id> round, Count floor,
+                     WorkspacePool& pool, int num_threads,
+                     OnUpdated&& on_updated) {
+    return ParallelPeelRound(*live_, round, floor, support_, pool,
+                             num_threads, std::forward<OnUpdated>(on_updated));
   }
 
   /// HUC re-count (§4.1): re-derives every live support by a fresh parallel
@@ -123,13 +128,23 @@ class WingPeelGraph {
     for (const Id e : round) (*state_)[e] = kEdgeDead;
   }
 
+  /// Peels one round concurrently, one clamped atomic per butterfly
+  /// update (see TipPeelGraph::PeelRound for the callback contract).
   template <typename OnUpdated>
-  uint64_t PeelOneAtomic(Id e, Count floor, PeelWorkspace& ws,
-                         OnUpdated&& on_updated) {
-    return PeelEdgeButterflies(
-        *graph_, *topo_, *state_, e, ws, [&](EdgeOffset x) {
-          on_updated(x, AtomicClampedSub(&support_[x], Count{1}, floor));
+  uint64_t PeelRound(std::span<const Id> round, Count floor,
+                     WorkspacePool& pool, int num_threads,
+                     OnUpdated&& on_updated) {
+    const uint64_t wedges_before = pool.TotalWedges();
+    ParallelForWithContext(
+        round.size(), num_threads, pool.workspaces(),
+        [&](PeelWorkspace& ws, size_t i) {
+          ws.wedges_traversed += PeelEdgeButterflies(
+              *graph_, *topo_, *state_, round[i], ws, [&](EdgeOffset x) {
+                on_updated(ws, x,
+                           AtomicClampedSub(&support_[x], Count{1}, floor));
+              });
         });
+    return pool.TotalWedges() - wedges_before;
   }
 
  private:
@@ -819,22 +834,15 @@ class RangeDecomposer {
 
       if (!recounted) {
         epochs_->NextRound();
-        const uint64_t wedges_before = pool_->TotalWedges();
-        ParallelForWithContext(
-            active_.size(), num_threads_, pool_->workspaces(),
-            [&](PeelWorkspace& ws, size_t i) {
-              ws.wedges_traversed += pg_->PeelOneAtomic(
-                  active_[i], lo, ws, [&](Id x, Count new_support) {
-                    const uint64_t xid = static_cast<uint64_t>(x);
-                    if (index_->ClaimDelta(xid)) {
-                      ws.support_delta.push_back(xid);
-                    }
-                    if (new_support < hi && epochs_->Claim(xid)) {
-                      ws.frontier.push_back(xid);
-                    }
-                  });
+        const uint64_t round_wedges = pg_->PeelRound(
+            active_, lo, *pool_, num_threads_,
+            [&](PeelWorkspace& ws, Id x, Count new_support) {
+              const uint64_t xid = static_cast<uint64_t>(x);
+              if (index_->ClaimDelta(xid)) ws.support_delta.push_back(xid);
+              if (new_support < hi && epochs_->Claim(xid)) {
+                ws.frontier.push_back(xid);
+              }
             });
-        const uint64_t round_wedges = pool_->TotalWedges() - wedges_before;
         stats->wedges_cd += round_wedges;
         // Dynamic Graph Maintenance (§4.2): compact adjacency once ≥ m
         // wedges were traversed since the last compaction.
@@ -1021,11 +1029,11 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
       extractor.Rebuild(support);
       maintenance.EndRecount();
     } else {
-      const uint64_t wedges = PeelVertex</*kAtomic=*/false>(
-          live, u, theta, support, ws,
-          [&extractor](VertexId u2, Count new_support) {
-            extractor.NotifyUpdate(u2, new_support);
-          });
+      const uint64_t wedges =
+          PeelVertex(live, u, theta, support, ws,
+                     [&extractor](VertexId u2, Count new_support) {
+                       extractor.NotifyUpdate(u2, new_support);
+                     });
       out.wedges += wedges;
       maintenance.OnPeelWedges(wedges);
     }
@@ -1086,34 +1094,6 @@ WingPeelOutcome SequentialWingPeel(const BipartiteGraph& graph,
     if (remaining > 0 && --remaining == 0) break;
   }
   return out;
-}
-
-// ===========================================================================
-// Round peeling (ParB): one concurrent batch with atomic clamped updates.
-// ===========================================================================
-
-/// Peels `peel_set` (whose members the caller already killed and assigned)
-/// concurrently. `on_updated(ws, u2, new_support)` runs on the worker
-/// thread that produced the update, with that thread's workspace — typical
-/// use buffers (u2, new_support) into ws.updates for post-barrier
-/// re-bucketing. Returns wedges traversed.
-template <typename OnUpdated>
-uint64_t ParallelPeelRound(const DynamicGraph& live,
-                           std::span<const VertexId> peel_set, Count floor,
-                           std::span<Count> support, WorkspacePool& pool,
-                           int num_threads, OnUpdated&& on_updated) {
-  pool.Prepare(std::max(1, num_threads), live.num_vertices());
-  const uint64_t wedges_before = pool.TotalWedges();
-  ParallelForWithContext(
-      peel_set.size(), num_threads, pool.workspaces(),
-      [&](PeelWorkspace& ws, size_t i) {
-        ws.wedges_traversed += PeelVertex</*kAtomic=*/true>(
-            live, peel_set[i], floor, support, ws,
-            [&](VertexId u2, Count new_support) {
-              on_updated(ws, u2, new_support);
-            });
-      });
-  return pool.TotalWedges() - wedges_before;
 }
 
 }  // namespace receipt::engine

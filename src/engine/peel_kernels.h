@@ -1,6 +1,7 @@
 #ifndef RECEIPT_ENGINE_PEEL_KERNELS_H_
 #define RECEIPT_ENGINE_PEEL_KERNELS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -22,50 +23,117 @@ namespace receipt::engine {
 /// arbitrates which peeling edge applies each butterfly's update.
 enum EdgeState : uint8_t { kEdgeDead = 0, kEdgeAlive = 1, kEdgePeeling = 2 };
 
-/// The tip support-update kernel of Alg. 2 (lines 6-13), shared by BUP,
-/// ParB and both RECEIPT steps.
-///
-/// Peels `u` (which must already be marked dead in `graph`): traverses all
-/// live wedges (u, v, u2), aggregates shared-butterfly counts
-/// ⊲⊳_{u,u2} = C(common_live_neighbors, 2) in the workspace's dense array,
-/// and decrements each live u2's support, clamped from below at `floor`
-/// (the tip number of u, or the range lower bound θ(i) in RECEIPT CD —
-/// Lemma 2).
-///
-/// kAtomic selects lock-free clamped decrements for concurrent peeling.
-/// `on_updated(u2, new_support)` fires once per updated vertex (used to
-/// track candidates for the next active set / heap pushes / re-bucketing).
+/// The shared branchless wedge-gathering loop of every tip kernel (Alg. 1
+/// lines 8-9, Alg. 2 lines 6-9): for each id in `ids` that `alive` admits,
+/// bumps its multiplicity in `mult` and, on its first touch, appends it to
+/// `touched[len]`. Every candidate is written at touched[len] and the
+/// length advances by (mult == 0) & alive, so the loop carries no
+/// data-dependent branch and keeps first-touch order. `touched` must hold
+/// one slot more than the number of distinct ids it can receive. Returns
+/// the new length.
+template <typename Alive>
+inline size_t GatherWedges(std::span<const VertexId> ids, Alive&& alive,
+                           uint32_t* mult, VertexId* touched, size_t len) {
+  for (const VertexId id : ids) {
+    const uint32_t live = alive(id) ? 1u : 0u;
+    const uint32_t m = mult[id];
+    touched[len] = id;
+    len += (m == 0) & live;
+    mult[id] = m + live;
+  }
+  return len;
+}
+
+/// The wedge traversal of Alg. 2 (lines 6-10) for peeling `u`, which must
+/// already be dead in `graph` so it never counts itself: gathers the live
+/// 2-hop neighbors u2 with their multiplicities, then calls
+/// `owe(u2, ⊲⊳_{u,u2})` in first-touch order for every u2 with a non-zero
+/// shared-butterfly count C(common_live_neighbors, 2), leaving
+/// ws.wedge_count all-zero. Returns the number of wedges traversed.
+template <typename Owe>
+uint64_t ForEachPeelDelta(const DynamicGraph& graph, VertexId u,
+                          PeelWorkspace& ws, Owe&& owe) {
+  uint64_t wedges = 0;
+  size_t len = 0;
+  const auto alive = [&graph](VertexId w) { return graph.IsAlive(w); };
+  for (const VertexId v : graph.Neighbors(u)) {
+    if (!graph.IsAlive(v)) continue;
+    const auto nbrs = graph.Neighbors(v);
+    wedges += nbrs.size();
+    len = GatherWedges(nbrs, alive, ws.wedge_count.data(), ws.touched.data(),
+                       len);
+  }
+  for (size_t i = 0; i < len; ++i) {
+    const VertexId u2 = ws.touched[i];
+    const Count delta = Choose2(ws.wedge_count[u2]);
+    ws.wedge_count[u2] = 0;
+    if (delta != 0) owe(u2, delta);
+  }
+  return wedges;
+}
+
+/// The sequential tip support-update kernel of Alg. 2 (lines 6-13), behind
+/// BUP and every RECEIPT FD task: peels `u` (already dead in `graph`) and
+/// decrements each live 2-hop neighbor's support by the butterflies it
+/// shares with u, clamped from below at `floor` (the tip number of u —
+/// Lemma 2). `on_updated(u2, new_support)` fires once per updated vertex,
+/// in first-touch order (heap pushes / bucket moves).
 ///
 /// Returns the number of wedges traversed.
-template <bool kAtomic, typename OnUpdated>
+template <typename OnUpdated>
 uint64_t PeelVertex(const DynamicGraph& graph, VertexId u, Count floor,
                     std::span<Count> support, PeelWorkspace& ws,
                     OnUpdated&& on_updated) {
-  uint64_t wedges = 0;
-  for (const VertexId v : graph.Neighbors(u)) {
-    if (!graph.IsAlive(v)) continue;
-    for (const VertexId u2 : graph.Neighbors(v)) {
-      ++wedges;
-      if (!graph.IsAlive(u2)) continue;  // includes u itself (already dead)
-      if (ws.wedge_count[u2]++ == 0) ws.touched.push_back(u2);
-    }
-  }
-  for (const VertexId u2 : ws.touched) {
-    const Count delta = Choose2(ws.wedge_count[u2]);
-    ws.wedge_count[u2] = 0;
-    if (delta == 0) continue;
-    Count new_support;
-    if constexpr (kAtomic) {
-      new_support = AtomicClampedSub(&support[u2], delta, floor);
-    } else {
-      const Count cur = support[u2];
-      new_support = (cur > floor + delta) ? cur - delta : floor;
-      support[u2] = new_support;
-    }
+  return ForEachPeelDelta(graph, u, ws, [&](VertexId u2, Count delta) {
+    const Count cur = support[u2];
+    const Count new_support = (cur > floor + delta) ? cur - delta : floor;
+    support[u2] = new_support;
     on_updated(u2, new_support);
-  }
-  ws.touched.clear();
-  return wedges;
+  });
+}
+
+/// The concurrent tip round (ParB rounds and RECEIPT CD rounds, Alg. 3
+/// lines 11-13): peels `peel_set` — whose members the caller already killed
+/// — across `num_threads` threads, each survivor's support dropping by the
+/// butterflies it shares with the whole set, clamped from below at `floor`.
+///
+/// ParButterfly-style aggregation: each thread sums the Choose2 deltas its
+/// peeled vertices owe into its workspace's dense support_debt, and after
+/// its share of the round applies one clamped atomic per distinct survivor.
+/// Clamping at one floor composes — max(f, max(f, s−a) − b) = max(f, s−a−b)
+/// — so the final supports equal per-update application in any order.
+/// Supports only fall, so the thread that applies last sees the final
+/// value: if it lies below a caller's threshold, some applier saw it there.
+///
+/// `on_updated(ws, u2, new_support)` fires once per (thread, survivor the
+/// thread owed), on that thread with its workspace, after that thread's
+/// debt on u2 landed — typical use buffers u2 into ws for post-barrier
+/// re-bucketing or frontier merging. Returns wedges traversed.
+template <typename OnUpdated>
+uint64_t ParallelPeelRound(const DynamicGraph& live,
+                           std::span<const VertexId> peel_set, Count floor,
+                           std::span<Count> support, WorkspacePool& pool,
+                           int num_threads, OnUpdated&& on_updated) {
+  pool.Prepare(std::max(1, num_threads), live.num_vertices());
+  const uint64_t wedges_before = pool.TotalWedges();
+  ParallelForWithContext(
+      peel_set.size(), num_threads, pool.workspaces(),
+      [&](PeelWorkspace& ws, size_t i) {
+        ws.wedges_traversed += ForEachPeelDelta(
+            live, peel_set[i], ws, [&ws](VertexId u2, Count delta) {
+              if (ws.support_debt[u2] == 0) ws.debt_ids.push_back(u2);
+              ws.support_debt[u2] += delta;
+            });
+      },
+      [&](PeelWorkspace& ws) {
+        for (const VertexId u2 : ws.debt_ids) {
+          const Count debt = ws.support_debt[u2];
+          ws.support_debt[u2] = 0;
+          on_updated(ws, u2, AtomicClampedSub(&support[u2], debt, floor));
+        }
+        ws.debt_ids.clear();
+      });
+  return pool.TotalWedges() - wedges_before;
 }
 
 /// The wing (edge) peel kernel: enumerates every butterfly of `e` whose

@@ -26,17 +26,36 @@ namespace receipt::engine {
 /// WorkspacePool and reuses them across rounds and partitions, so the hot
 /// paths are allocation-free in steady state.
 ///
-/// Invariant between kernel invocations: `wedge_count` and `edge_mark` are
-/// all-zero — every kernel resets exactly the entries it touched.
-struct PeelWorkspace {
+/// Invariant between kernel invocations: `wedge_count`, `support_debt` and
+/// `edge_mark` are all-zero and `debt_ids` is empty — every kernel resets
+/// exactly the entries it touched.
+///
+/// Cache-line aligned: the per-thread workspaces sit side by side in one
+/// vector, and a kernel's per-thread header writes (lengths, counters) must
+/// not land on a line another thread's workspace header shares.
+struct alignas(64) PeelWorkspace {
   /// Dense wedge-aggregation array (`wdg_arr` of Alg. 2), indexed by 2-hop
-  /// neighbor id. 64-bit: multiplicities are bounded by degree, but a dense
-  /// high-degree vertex can collect > 2^32 wedges across one traversal.
-  std::vector<uint64_t> wedge_count;
-  /// Non-zero entries of wedge_count (nze of Alg. 1). Counting keeps no
-  /// wedge list (nzw of Alg. 1): it folds the opposite-side updates per
+  /// neighbor id. One entry counts the wedges between a start vertex and
+  /// one 2-hop neighbor, i.e. their common neighbors, so it is bounded by
+  /// the start vertex's degree: BipartiteGraph deduplicates edges and
+  /// VertexId is 32-bit, so 32 bits always suffice. Consumers widen to
+  /// Count before Choose2.
+  std::vector<uint32_t> wedge_count;
+  /// Output buffer of the branchless gather loop (GatherWedges): the
+  /// non-zero entries of wedge_count (nze of Alg. 1) in first-touch order
+  /// occupy its prefix [0, len), where len is the kernel's local length.
+  /// Sized to the vertex capacity plus one, because the loop writes each
+  /// candidate before deciding whether to keep it. Counting keeps no wedge
+  /// list (nzw of Alg. 1): it folds the opposite-side updates per
   /// (start, mid) pair by re-walking each mid point's rank-bounded prefix.
   std::vector<VertexId> touched;
+  /// Per-thread support debt of one concurrent tip round
+  /// (ParallelPeelRound): the sum of the Choose2 deltas this thread's
+  /// peeled vertices owe each survivor, applied with one clamped atomic per
+  /// survivor after the thread's share of the round.
+  std::vector<Count> support_debt;
+  /// Ids with a non-zero support_debt entry, in first-debt order.
+  std::vector<VertexId> debt_ids;
   /// V-side mark array for edge (wing) peeling: stores edge id + 1 while a
   /// peel is in flight, 0 = unmarked.
   std::vector<EdgeOffset> edge_mark;
@@ -84,7 +103,8 @@ struct PeelWorkspace {
   std::vector<EdgeOffset> topo_cursor;
 
   /// Wedges traversed by kernels running on this workspace; folded by
-  /// WorkspacePool::TotalWedges.
+  /// WorkspacePool::TotalWedges. Kernels count wedges in a local and add
+  /// the total once per start point or peeled entity.
   uint64_t wedges_traversed = 0;
 
   /// Number of times a dense buffer actually grew. Stable once warm — the
@@ -93,12 +113,15 @@ struct PeelWorkspace {
   /// a request executes.
   util::RelaxedCounter growths;
 
-  /// Grows wedge_count to cover ids [0, n), zero-filling new slots. Never
+  /// Grows the dense per-vertex arrays (wedge_count, support_debt, and the
+  /// gather buffer) to cover ids [0, n), zero-filling new slots. Never
   /// shrinks, so alternating between a graph and its induced subgraphs
   /// costs nothing.
   void EnsureVertexCapacity(VertexId n) {
     if (wedge_count.size() < static_cast<size_t>(n)) {
       wedge_count.resize(n, 0);
+      support_debt.resize(n, 0);
+      touched.resize(static_cast<size_t>(n) + 1);
       ++growths;
     }
   }

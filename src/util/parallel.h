@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace receipt {
@@ -43,26 +44,40 @@ inline size_t DynamicChunk(size_t n, int num_threads) {
   return std::clamp<size_t>(per_thread, 1, 64);
 }
 
-/// ParallelFor with a per-thread context object: `fn(ctx[tid], i)`. Used to
-/// hand each thread its own wedge-aggregation scratch array (Alg. 1 line 5).
+/// ParallelFor with a per-thread context object: `fn(ctx[tid], i)`, then
+/// `finish(ctx[tid])` once on every thread of the team after that thread's
+/// last iteration (`omp for nowait`, so a thread finishes without waiting
+/// for the others; the region's closing barrier orders all finishes before
+/// the call returns). Used to hand each thread its own wedge-aggregation
+/// scratch array (Alg. 1 line 5) and to let it publish what it aggregated.
 /// The dynamic chunk follows the loop size (DynamicChunk), so small peel
 /// rounds spread across all threads.
-template <typename Ctx, typename Fn>
+template <typename Ctx, typename Fn, typename Finish>
 void ParallelForWithContext(size_t n, int num_threads, std::vector<Ctx>& ctxs,
-                            Fn&& fn) {
+                            Fn&& fn, Finish&& finish) {
   if (num_threads <= 1) {
     for (size_t i = 0; i < n; ++i) fn(ctxs[0], i);
+    finish(ctxs[0]);
     return;
   }
   const size_t chunk = DynamicChunk(n, num_threads);
 #pragma omp parallel num_threads(num_threads)
   {
     Ctx& ctx = ctxs[omp_get_thread_num()];
-#pragma omp for schedule(dynamic, chunk)
+#pragma omp for schedule(dynamic, chunk) nowait
     for (size_t i = 0; i < n; ++i) {
       fn(ctx, i);
     }
+    finish(ctx);
   }
+}
+
+/// ParallelForWithContext without a per-thread epilogue.
+template <typename Ctx, typename Fn>
+void ParallelForWithContext(size_t n, int num_threads, std::vector<Ctx>& ctxs,
+                            Fn&& fn) {
+  ParallelForWithContext(n, num_threads, ctxs, std::forward<Fn>(fn),
+                         [](Ctx&) {});
 }
 
 /// Atomically adds `delta` to `*target` (relaxed ordering; all support

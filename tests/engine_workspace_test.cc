@@ -21,15 +21,54 @@ namespace receipt {
 namespace {
 
 TEST(WorkspaceTest, WedgeCountersAre64Bit) {
-  // Satellite requirement: dense per-thread wedge counters must be 64-bit
-  // end-to-end (Choose2 of a large multiplicity overflows 32 bits).
-  static_assert(
-      std::is_same_v<decltype(engine::PeelWorkspace::wedge_count)::value_type,
-                     uint64_t>);
+  // Wedge totals and support deltas are 64-bit end to end: on K_{2,100000}
+  // the two U vertices share C(100000, 2) = 4,999,950,000 > 2^32
+  // butterflies, so peeling one must lower the other's support by exactly
+  // that through the sequential kernel and the concurrent round, and
+  // counting must report it. (The per-id multiplicity itself is bounded by
+  // a degree, which fits 32 bits.)
   static_assert(
       std::is_same_v<decltype(engine::PeelWorkspace::wedges_traversed),
                      uint64_t>);
-  SUCCEED();
+  static_assert(alignof(engine::PeelWorkspace) >= 64);
+  constexpr VertexId kWide = 100000;
+  constexpr Count kShared = Count{kWide} * (kWide - 1) / 2;
+  static_assert(kShared == 4'999'950'000ull);
+  const BipartiteGraph g = CompleteBipartite(2, kWide);
+
+  const auto counted = [&g] {
+    DynamicGraph live(g, g.DegreeDescendingRanks());
+    std::vector<Count> support(g.num_vertices(), 0);
+    engine::WorkspacePool pool;
+    engine::CountVertexButterflies(live, pool, 2, support);
+    return support;
+  };
+  const std::vector<Count> original = counted();
+  ASSERT_EQ(original[0], kShared);
+  ASSERT_EQ(original[1], kShared);
+
+  {
+    DynamicGraph live(g, g.DegreeDescendingRanks());
+    std::vector<Count> support = original;
+    engine::PeelWorkspace ws;
+    ws.EnsureVertexCapacity(g.num_vertices());
+    live.Kill(0);
+    const uint64_t wedges =
+        engine::PeelVertex(live, 0, 0, support, ws, [](VertexId, Count) {});
+    EXPECT_EQ(wedges, 2ull * kWide);
+    EXPECT_EQ(support[1], 0u);
+  }
+  for (const int threads : {1, 2}) {
+    DynamicGraph live(g, g.DegreeDescendingRanks());
+    std::vector<Count> support = original;
+    support[1] += 7;  // lands exactly 7 above the floor
+    engine::WorkspacePool pool;
+    live.Kill(0);
+    const std::vector<VertexId> peel_set = {0};
+    engine::ParallelPeelRound(live, peel_set, 0, support, pool, threads,
+                              [](engine::PeelWorkspace&, VertexId, Count) {});
+    EXPECT_EQ(support[1], 7u) << threads << " threads";
+  }
 }
 
 TEST(WorkspaceTest, PrepareIsIdempotent) {
@@ -113,9 +152,10 @@ TEST(WorkspaceTest, ScratchIsCleanAfterDecomposition) {
 
   for (int tid = 0; tid < pool.num_workspaces(); ++tid) {
     engine::PeelWorkspace& ws = pool.Get(tid);
-    for (const uint64_t c : ws.wedge_count) EXPECT_EQ(c, 0u) << "tid " << tid;
+    for (const uint32_t c : ws.wedge_count) EXPECT_EQ(c, 0u) << "tid " << tid;
+    for (const Count d : ws.support_debt) EXPECT_EQ(d, 0u) << "tid " << tid;
     for (const EdgeOffset m : ws.edge_mark) EXPECT_EQ(m, 0u) << "tid " << tid;
-    EXPECT_TRUE(ws.touched.empty()) << "tid " << tid;
+    EXPECT_TRUE(ws.debt_ids.empty()) << "tid " << tid;
     EXPECT_TRUE(ws.frontier.empty()) << "tid " << tid;
     EXPECT_TRUE(ws.updates.empty()) << "tid " << tid;
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -36,6 +37,50 @@ TEST(ParallelUtilTest, ParallelForWithContextUsesDistinctContexts) {
   uint64_t total = 0;
   for (const Ctx& c : ctxs) total += c.sum;
   EXPECT_EQ(total, 10000ull * 9999 / 2);
+}
+
+TEST(ParallelUtilTest, ParallelForWithContextFinishesEachThreadOnce) {
+  // The epilogue runs once on every thread of the team, after all of that
+  // thread's iterations — also when the loop is empty or has fewer items
+  // than threads.
+  struct Ctx {
+    uint64_t iterations = 0;
+    uint64_t iterations_at_finish = 0;
+    int finishes = 0;
+    int team = 0;
+  };
+  for (const int threads : {1, 2, 4}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{5000}}) {
+      std::vector<Ctx> ctxs(4);
+      ParallelForWithContext(
+          n, threads, ctxs, [](Ctx& ctx, size_t) { ++ctx.iterations; },
+          [](Ctx& ctx) {
+            ++ctx.finishes;
+            ctx.iterations_at_finish = ctx.iterations;
+            ctx.team = omp_get_num_threads();
+          });
+      uint64_t total = 0;
+      int finished = 0;
+      int team = 0;
+      for (const Ctx& ctx : ctxs) {
+        EXPECT_LE(ctx.finishes, 1) << n << " items, " << threads << " threads";
+        EXPECT_EQ(ctx.iterations_at_finish, ctx.iterations)
+            << n << " items, " << threads << " threads";
+        if (ctx.iterations > 0) {
+          EXPECT_EQ(ctx.finishes, 1);
+        }
+        total += ctx.iterations;
+        finished += ctx.finishes;
+        team = std::max(team, ctx.team);
+      }
+      EXPECT_EQ(total, n);
+      // Each thread of the team (all of it, even threads that got no
+      // items) finished exactly once; a sequential call finishes ctx 0.
+      EXPECT_EQ(finished, threads <= 1 ? 1 : team)
+          << n << " items, " << threads << " threads";
+      EXPECT_LE(team, threads);
+    }
+  }
 }
 
 TEST(ParallelUtilTest, DynamicChunkFollowsLoopSize) {
