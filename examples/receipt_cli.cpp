@@ -757,19 +757,8 @@ int ServeHttp(const Args& args, service::GraphRegistry& registry,
   http_server.Stop();
   service.Shutdown(/*drain=*/true);
 
-  const server::HttpServer::Stats http = http_server.stats();
-  const server::DecompositionHttpFrontend::Stats fe = frontend.stats();
-  const service::DecompositionService::Stats stats = service.stats();
-  std::printf(
-      "http: connections=%llu requests=%llu 2xx=%llu 4xx=%llu 5xx=%llu "
-      "busy_429=%llu disconnect_cancels=%llu\n",
-      static_cast<unsigned long long>(http.connections_accepted),
-      static_cast<unsigned long long>(http.requests),
-      static_cast<unsigned long long>(http.responses_2xx),
-      static_cast<unsigned long long>(http.responses_4xx),
-      static_cast<unsigned long long>(http.responses_5xx),
-      static_cast<unsigned long long>(fe.rejected_busy),
-      static_cast<unsigned long long>(fe.disconnect_cancels));
+  // The drained process leaves its serving state in the log through the
+  // one renderer of it, /statz, plus the cluster counters /statz lacks.
   if (node != nullptr) {
     const cluster::ClusterNode::Stats cs = node->stats();
     std::printf(
@@ -785,78 +774,7 @@ int ServeHttp(const Args& args, service::GraphRegistry& registry,
         static_cast<unsigned long long>(cs.chain_syncs),
         static_cast<unsigned long long>(cs.replicated_applies));
   }
-  std::printf(
-      "service: submitted=%llu engine_runs=%llu cache_hits=%llu "
-      "coalesced=%llu cancelled=%llu\n",
-      static_cast<unsigned long long>(stats.submitted),
-      static_cast<unsigned long long>(stats.engine_runs),
-      static_cast<unsigned long long>(stats.cache_hits),
-      static_cast<unsigned long long>(stats.coalesced),
-      static_cast<unsigned long long>(stats.cancelled));
-  const service::LiveGraphManager::Stats live = service.live().stats();
-  std::printf(
-      "live updates: batches=%llu updates=%llu seals=%llu "
-      "incremental=%llu full=%llu ranges_reused=%llu ranges_repeeled=%llu "
-      "pending=%llu\n",
-      static_cast<unsigned long long>(live.batches_total),
-      static_cast<unsigned long long>(live.updates_total),
-      static_cast<unsigned long long>(live.seals_total),
-      static_cast<unsigned long long>(live.runs_incremental),
-      static_cast<unsigned long long>(live.runs_full),
-      static_cast<unsigned long long>(live.ranges_reused),
-      static_cast<unsigned long long>(live.ranges_repeeled),
-      static_cast<unsigned long long>(live.pending_edges));
-  const service::DecompositionService::SchedulerStats sched =
-      service.scheduler_stats();
-  std::printf(
-      "scheduler: nodes=%d pinned=%s local_pops=%llu remote_steals=%llu\n",
-      sched.num_nodes, sched.pinned ? "yes" : "no",
-      static_cast<unsigned long long>(sched.local_pops),
-      static_cast<unsigned long long>(sched.remote_steals));
-  if (service.durable()) {
-    const durability::DurabilityStats durable = service.durability()->stats();
-    std::printf(
-        "durability: appends=%llu bytes=%llu fsyncs=%llu rotations=%llu "
-        "snapshots=%llu append_failures=%llu snapshot_failures=%llu "
-        "broken=%s\n",
-        static_cast<unsigned long long>(durable.journal.appends),
-        static_cast<unsigned long long>(durable.journal.bytes_written),
-        static_cast<unsigned long long>(durable.journal.fsyncs),
-        static_cast<unsigned long long>(durable.journal.rotations),
-        static_cast<unsigned long long>(durable.snapshots_written),
-        static_cast<unsigned long long>(durable.journal.append_failures),
-        static_cast<unsigned long long>(durable.snapshot_failures),
-        durable.journal.broken ? "yes" : "no");
-  }
-  std::printf("workspace growths (all worker pools): %llu\n",
-              static_cast<unsigned long long>(service.WorkspaceGrowths()));
-  // Final metrics snapshot: the same quantiles /statz serves, printed so a
-  // drained run leaves its latency profile in the log.
-  const auto print_quantiles = [](const char* label,
-                                  const obs::Histogram& histogram) {
-    std::printf("%s: count=%llu p50=%.6fs p95=%.6fs p99=%.6fs\n", label,
-                static_cast<unsigned long long>(histogram.Count()),
-                histogram.Quantile(0.50), histogram.Quantile(0.95),
-                histogram.Quantile(0.99));
-  };
-  std::printf("requests by outcome:");
-  for (const service::Status status :
-       {service::Status::kOk, service::Status::kNotFound,
-        service::Status::kBadRequest, service::Status::kCancelled,
-        service::Status::kShutdown}) {
-    std::printf(" %s=%llu", service::StatusName(status),
-                static_cast<unsigned long long>(
-                    service.RequestsWithOutcome(status)));
-  }
-  std::printf("\n");
-  print_quantiles("latency (request)", *service.request_latency_histogram());
-  print_quantiles("latency (queue wait)", *service.queue_wait_histogram());
-  print_quantiles("latency (engine run)", *service.engine_run_histogram());
-  std::printf("traces recorded: %llu (ring capacity %llu)\n",
-              static_cast<unsigned long long>(
-                  service.observability().traces.recorded()),
-              static_cast<unsigned long long>(
-                  service.observability().traces.capacity()));
+  std::printf("statz: %s\n", frontend.RenderStatz().c_str());
   return 0;
 }
 

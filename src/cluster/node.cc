@@ -21,21 +21,7 @@ using server::HttpRequest;
 using server::HttpResponse;
 using server::HttpStatusFor;
 using server::JsonError;
-
-std::string QueryParam(const std::string& query, std::string_view key) {
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t end = query.find('&', pos);
-    if (end == std::string::npos) end = query.size();
-    const size_t eq = query.find('=', pos);
-    if (eq != std::string::npos && eq < end &&
-        std::string_view(query).substr(pos, eq - pos) == key) {
-      return query.substr(eq + 1, end - eq - 1);
-    }
-    pos = end + 1;
-  }
-  return "";
-}
+using server::QueryParam;
 
 uint64_t MinEpochHeader(const HttpRequest& request) {
   const auto it = request.headers.find("x-cluster-min-epoch");

@@ -17,6 +17,7 @@ using server::GraphNameFromEdgesPath;
 using server::HttpRequest;
 using server::HttpResponse;
 using server::JsonError;
+using server::QueryParam;
 
 std::string ClientId(const HttpRequest& request) {
   const auto it = request.headers.find("x-client-id");
@@ -345,15 +346,7 @@ HttpResponse Router::HandleStatz(const HttpRequest&) {
 }
 
 HttpResponse Router::HandleRoute(const HttpRequest& request) {
-  std::string graph;
-  const std::string& query = request.query;
-  const size_t pos = query.find("graph=");
-  if (pos != std::string::npos) {
-    const size_t end = query.find('&', pos);
-    graph = query.substr(pos + 6, end == std::string::npos
-                                      ? std::string::npos
-                                      : end - pos - 6);
-  }
+  const std::string graph = QueryParam(request.query, "graph");
   if (graph.empty()) {
     return JsonError(400, "missing required query parameter 'graph'");
   }

@@ -8,7 +8,7 @@
 namespace receipt::durability {
 
 std::unique_ptr<DurabilityManager> DurabilityManager::Open(
-    const DurabilityOptions& options, obs::Observability* obs,
+    const DurabilityOptions& options, obs::Observability& obs,
     std::string* error) {
   if (options.data_dir.empty()) {
     if (error != nullptr) *error = "durability: empty data_dir";
@@ -26,23 +26,10 @@ std::unique_ptr<DurabilityManager> DurabilityManager::Open(
   journal_options.batch_bytes = options.batch_bytes;
   manager->journal_ = Journal::Open(journal_options, error);
   if (manager->journal_ == nullptr) return nullptr;
-  if (obs != nullptr) {
-    auto& m = obs->metrics;
-    manager->journal_appends_ = m.GetCounter(
-        "receipt_journal_appends_total", "Journal records appended");
-    manager->journal_bytes_ = m.GetCounter("receipt_journal_bytes_total",
-                                           "Journal bytes written");
-    manager->journal_failures_ = m.GetCounter(
-        "receipt_journal_append_failures_total", "Journal append failures");
-    manager->snapshot_writes_ = m.GetCounter(
-        "receipt_snapshot_writes_total", "Snapshot files written");
-    manager->snapshot_failures_counter_ = m.GetCounter(
-        "receipt_snapshot_failures_total", "Snapshot write failures");
-    manager->append_latency_ = m.GetHistogram(
-        "receipt_journal_append_seconds", "Journal append latency");
-    manager->snapshot_latency_ = m.GetHistogram(
-        "receipt_snapshot_write_seconds", "Snapshot write latency");
-  }
+  manager->append_latency_ = obs.metrics.GetHistogram(
+      "receipt_journal_append_seconds", "Journal append latency");
+  manager->snapshot_latency_ = obs.metrics.GetHistogram(
+      "receipt_snapshot_write_seconds", "Snapshot write latency");
   return manager;
 }
 
@@ -61,20 +48,8 @@ void DurabilityManager::NoteGraphActivityLocked(const std::string& graph) {
 bool DurabilityManager::AppendInstrumented(const JournalRecord& record,
                                            std::string* error) {
   WallTimer timer;
-  size_t bytes = 0;
-  bool ok = journal_->Append(record, error);
-  if (ok && journal_appends_ != nullptr) {
-    bytes = EncodeFrame(record).size();
-  }
-  if (ok) {
-    if (journal_appends_ != nullptr) journal_appends_->Increment();
-    if (journal_bytes_ != nullptr) journal_bytes_->Increment(bytes);
-    if (append_latency_ != nullptr) {
-      append_latency_->ObserveSeconds(timer.Seconds());
-    }
-  } else if (journal_failures_ != nullptr) {
-    journal_failures_->Increment();
-  }
+  const bool ok = journal_->Append(record, error);
+  if (ok) append_latency_->ObserveSeconds(timer.Seconds());
   return ok;
 }
 
@@ -148,9 +123,6 @@ bool DurabilityManager::WriteSnapshot(SnapshotData* data, std::string* error) {
   if (!WriteSnapshotFile(snapshot_dir(), *data, error)) {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot_failures_ += 1;
-    if (snapshot_failures_counter_ != nullptr) {
-      snapshot_failures_counter_->Increment();
-    }
     return false;
   }
   uint64_t floor;
@@ -166,10 +138,7 @@ bool DurabilityManager::WriteSnapshot(SnapshotData* data, std::string* error) {
     snapshots_written_ += 1;
   }
   journal_->DropSegmentsBelow(floor);
-  if (snapshot_writes_ != nullptr) snapshot_writes_->Increment();
-  if (snapshot_latency_ != nullptr) {
-    snapshot_latency_->ObserveSeconds(timer.Seconds());
-  }
+  snapshot_latency_->ObserveSeconds(timer.Seconds());
   return true;
 }
 

@@ -39,10 +39,11 @@ struct DurabilityStats {
 /// layer — `recovery.{h,cc}` is the one file that bridges the two.
 class DurabilityManager {
  public:
-  /// Creates directories, opens a fresh journal segment. `obs` may be
-  /// null (instruments are skipped).
+  /// Creates directories, opens a fresh journal segment and registers the
+  /// append and snapshot latency histograms in `obs`. The counts live in
+  /// stats() only; the service exports them as read-through series.
   static std::unique_ptr<DurabilityManager> Open(
-      const DurabilityOptions& options, obs::Observability* obs,
+      const DurabilityOptions& options, obs::Observability& obs,
       std::string* error);
 
   /// Recovery seeding: graph -> lowest journal segment still holding
@@ -91,11 +92,6 @@ class DurabilityManager {
 
   DurabilityOptions options_;
   std::unique_ptr<Journal> journal_;
-  obs::Counter* journal_appends_ = nullptr;
-  obs::Counter* journal_bytes_ = nullptr;
-  obs::Counter* journal_failures_ = nullptr;
-  obs::Counter* snapshot_writes_ = nullptr;
-  obs::Counter* snapshot_failures_counter_ = nullptr;
   obs::Histogram* append_latency_ = nullptr;
   obs::Histogram* snapshot_latency_ = nullptr;
 

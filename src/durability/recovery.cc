@@ -20,7 +20,7 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 
 std::unique_ptr<DurabilityManager> OpenWithRecovery(
     const DurabilityOptions& options, service::GraphRegistry& registry,
-    service::LiveGraphManager& live, obs::Observability* obs,
+    service::LiveGraphManager& live, obs::Observability& obs,
     RecoveryReport* report, std::string* error) {
   WallTimer timer;
   *report = RecoveryReport{};

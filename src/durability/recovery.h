@@ -49,7 +49,7 @@ struct RecoveryReport {
 /// start, not an error.
 std::unique_ptr<DurabilityManager> OpenWithRecovery(
     const DurabilityOptions& options, service::GraphRegistry& registry,
-    service::LiveGraphManager& live, obs::Observability* obs,
+    service::LiveGraphManager& live, obs::Observability& obs,
     RecoveryReport* report, std::string* error);
 
 }  // namespace receipt::durability

@@ -27,10 +27,6 @@ struct ByteWriter {
     out.append(buf, 8);
   }
 
-  void Bytes(const void* data, size_t size) {
-    out.append(static_cast<const char*>(data), size);
-  }
-
   void Str(const std::string& s) {
     U32(static_cast<uint32_t>(s.size()));
     out.append(s);

@@ -260,14 +260,4 @@ ScopedAffinity::~ScopedAffinity() {
   if (valid_) PinThreadToCpus(saved_cpus_);
 }
 
-void FirstTouch(void* data, size_t bytes) {
-  if (data == nullptr || bytes == 0) return;
-  constexpr size_t kPage = 4096;
-  volatile unsigned char* p = static_cast<unsigned char*>(data);
-  for (size_t off = 0; off < bytes; off += kPage) {
-    p[off] = p[off];
-  }
-  p[bytes - 1] = p[bytes - 1];
-}
-
 }  // namespace receipt::engine

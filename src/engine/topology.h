@@ -91,12 +91,6 @@ class ScopedAffinity {
   bool valid_ = false;
 };
 
-/// Writes one byte per page of [data, data + bytes) so the backing pages
-/// are faulted in by the calling thread — with first-touch allocation the
-/// pages land on the caller's node. Call from a pinned worker right after
-/// growing an arena.
-void FirstTouch(void* data, size_t bytes);
-
 }  // namespace receipt::engine
 
 #endif  // RECEIPT_ENGINE_TOPOLOGY_H_

@@ -130,7 +130,8 @@ double Histogram::Quantile(double q) const {
 }
 
 MetricsRegistry::Child* MetricsRegistry::FindOrCreateChild(
-    std::string_view name, std::string_view help, Kind kind, Labels labels) {
+    std::string_view name, std::string_view help, Kind kind, Labels labels,
+    ReadFunc read) {
   std::sort(labels.begin(), labels.end());
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = families_.find(name);
@@ -140,9 +141,13 @@ MetricsRegistry::Child* MetricsRegistry::FindOrCreateChild(
   }
   Family& family = it->second;
   for (Child& child : family.children) {
-    if (child.labels == labels) return &child;
+    if (child.labels == labels) {
+      if (read) child.read = std::move(read);
+      return &child;
+    }
   }
   Child child;
+  child.read = std::move(read);
   child.rendered_labels = RenderLabels(labels);
   child.labels = std::move(labels);
   switch (kind) {
@@ -179,6 +184,20 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
       ->histogram.get();
 }
 
+void MetricsRegistry::AddCounterFunc(std::string_view name,
+                                     std::string_view help, Labels labels,
+                                     ReadFunc read) {
+  FindOrCreateChild(name, help, Kind::kCounter, std::move(labels),
+                    std::move(read));
+}
+
+void MetricsRegistry::AddGaugeFunc(std::string_view name,
+                                   std::string_view help, Labels labels,
+                                   ReadFunc read) {
+  FindOrCreateChild(name, help, Kind::kGauge, std::move(labels),
+                    std::move(read));
+}
+
 std::string MetricsRegistry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out;
@@ -200,13 +219,13 @@ std::string MetricsRegistry::RenderPrometheus() const {
     }
     out.push_back('\n');
     for (const Child& child : family.children) {
-      if (family.kind == Kind::kCounter) {
+      if (family.kind != Kind::kHistogram) {
         out.append(name).append(child.rendered_labels).push_back(' ');
-        AppendNumber(&out, child.counter->Value());
-        out.push_back('\n');
-      } else if (family.kind == Kind::kGauge) {
-        out.append(name).append(child.rendered_labels).push_back(' ');
-        AppendNumber(&out, child.gauge->Value());
+        const uint64_t value = child.read ? child.read()
+                               : family.kind == Kind::kCounter
+                                   ? child.counter->Value()
+                                   : child.gauge->Value();
+        AppendNumber(&out, value);
         out.push_back('\n');
       } else {
         const Histogram& h = *child.histogram;

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,6 +83,9 @@ class Histogram {
 /// equal label sets render identically and map lookups are canonical.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
+/// Value source of a read-through series, called at scrape time.
+using ReadFunc = std::function<uint64_t()>;
+
 /// Named metrics, registered once and exported as Prometheus text.
 ///
 /// Registration (GetCounter/GetGauge/GetHistogram) takes a mutex and is
@@ -90,6 +94,12 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 /// relaxed atomics. Re-registering the same (name, labels) returns the
 /// existing instrument. Rendering walks an ordered map, so the exposition
 /// is deterministic — the text-format conformance test depends on that.
+///
+/// Read-through series (AddCounterFunc/AddGaugeFunc) export a count some
+/// component already keeps in its own stats(), so /metrics and that stats()
+/// read one number instead of two copies that can drift. The function runs
+/// under the registry mutex: it may take a component's lock only if that
+/// component never registers series while holding it.
 class MetricsRegistry {
  public:
   Counter* GetCounter(std::string_view name, std::string_view help,
@@ -98,6 +108,13 @@ class MetricsRegistry {
                   Labels labels = {});
   Histogram* GetHistogram(std::string_view name, std::string_view help,
                           Labels labels = {});
+  /// Registers a series whose value is `read()` at scrape time. The
+  /// function must stay callable for the registry's lifetime. Registering
+  /// an existing (name, labels) again replaces its function.
+  void AddCounterFunc(std::string_view name, std::string_view help,
+                      Labels labels, ReadFunc read);
+  void AddGaugeFunc(std::string_view name, std::string_view help,
+                    Labels labels, ReadFunc read);
 
   /// Full exposition in Prometheus text format, version 0.0.4: one
   /// `# HELP` + `# TYPE` header per family, then each child's samples.
@@ -112,6 +129,7 @@ class MetricsRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
+    ReadFunc read;  ///< set for read-through counters and gauges
   };
   struct Family {
     Kind kind;
@@ -119,8 +137,10 @@ class MetricsRegistry {
     std::vector<Child> children;
   };
 
+  /// A non-empty `read` makes the child read-through (replacing any
+  /// earlier function).
   Child* FindOrCreateChild(std::string_view name, std::string_view help,
-                           Kind kind, Labels labels);
+                           Kind kind, Labels labels, ReadFunc read = {});
 
   mutable std::mutex mutex_;
   std::map<std::string, Family, std::less<>> families_;

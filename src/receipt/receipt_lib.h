@@ -23,7 +23,6 @@
 
 #include "butterfly/approx_count.h"
 #include "butterfly/butterfly_count.h"
-#include "butterfly/wedge.h"
 #include "graph/bipartite_graph.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"

@@ -69,6 +69,21 @@ std::string GraphNameFromBody(const std::string& body,
   return name;
 }
 
+std::string QueryParam(const std::string& query, std::string_view key) {
+  size_t pos = 0;
+  while (pos < query.size()) {
+    size_t end = query.find('&', pos);
+    if (end == std::string::npos) end = query.size();
+    const size_t eq = query.find('=', pos);
+    if (eq != std::string::npos && eq < end &&
+        std::string_view(query).substr(pos, eq - pos) == key) {
+      return query.substr(eq + 1, end - eq - 1);
+    }
+    pos = end + 1;
+  }
+  return "";
+}
+
 namespace {
 
 /// The one description of a resident graph both /v1/graphs responses share.
@@ -139,6 +154,7 @@ DecompositionHttpFrontend::DecompositionHttpFrontend(
   http_request_seconds_ = obs_->metrics.GetHistogram(
       "receipt_http_request_seconds",
       "Wall time of /v1/decompose handling, socket parse to response body");
+  decompose_requests_ = HttpRequestCounter("/v1/decompose");
   if (!register_routes) return;
   server.Handle("POST", "/v1/decompose",
                 [this](const HttpRequest& r) { return HandleDecompose(r); });
@@ -166,19 +182,21 @@ DecompositionHttpFrontend::DecompositionHttpFrontend(
   });
 }
 
+obs::Counter* DecompositionHttpFrontend::HttpRequestCounter(
+    const std::string& path) {
+  return obs_->metrics.GetCounter(
+      "receipt_http_requests_total",
+      "HTTP requests dispatched to a handler, by path", {{"path", path}});
+}
+
 void DecompositionHttpFrontend::CountHttpRequest(const std::string& path) {
-  obs_->metrics
-      .GetCounter("receipt_http_requests_total",
-                  "HTTP requests dispatched to a handler, by path",
-                  {{"path", path}})
-      ->Increment();
+  HttpRequestCounter(path)->Increment();
 }
 
 HttpResponse DecompositionHttpFrontend::HandleDecompose(
     const HttpRequest& http_request) {
   const uint64_t handler_start_ns = obs::TraceRecorder::NowNs();
-  decompose_requests_.fetch_add(1, std::memory_order_relaxed);
-  CountHttpRequest("/v1/decompose");
+  decompose_requests_->Increment();
 
   // Mint (or accept) the request's trace identity before anything can fail,
   // so even a 400 carries the id the client can look up.
@@ -554,6 +572,12 @@ HttpResponse DecompositionHttpFrontend::HandleHealthz(const HttpRequest&) {
 
 HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
   CountHttpRequest("/statz");
+  HttpResponse response;
+  response.body = RenderStatz();
+  return response;
+}
+
+std::string DecompositionHttpFrontend::RenderStatz() {
   const service::DecompositionService::Stats service_stats =
       service_->stats();
   const service::ResultCache::Stats cache = service_->cache_stats();
@@ -625,8 +649,7 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
       .Key("responses_4xx").Uint(http.responses_4xx)
       .Key("responses_5xx").Uint(http.responses_5xx)
       .Key("parse_failures").Uint(http.parse_failures)
-      .Key("decompose_requests")
-      .Uint(decompose_requests_.load(std::memory_order_relaxed))
+      .Key("decompose_requests").Uint(decompose_requests_->Value())
       .Key("rejected_busy")
       .Uint(rejected_busy_.load(std::memory_order_relaxed))
       .Key("disconnect_cancels")
@@ -695,16 +718,12 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
   WriteQuantiles("engine_run", *service_->engine_run_histogram(), &writer);
   writer.EndObject();
   writer.EndObject();
-
-  HttpResponse response;
-  response.body = writer.Take();
-  return response;
+  return writer.Take();
 }
 
 DecompositionHttpFrontend::Stats DecompositionHttpFrontend::stats() const {
   Stats stats;
-  stats.decompose_requests =
-      decompose_requests_.load(std::memory_order_relaxed);
+  stats.decompose_requests = decompose_requests_->Value();
   stats.rejected_busy = rejected_busy_.load(std::memory_order_relaxed);
   stats.disconnect_cancels =
       disconnect_cancels_.load(std::memory_order_relaxed);

@@ -35,6 +35,11 @@ std::string GraphNameFromEdgesPath(const std::string& path);
 std::string GraphNameFromBody(const std::string& body,
                               std::string_view field);
 
+/// The value of the query parameter named exactly `key` in a raw query
+/// string (no '?'): "subgraph=x&graph=g" yields "g" for "graph". Empty
+/// when absent. The one query parser of the cluster routes.
+std::string QueryParam(const std::string& query, std::string_view key);
+
 /// The JSON endpoint surface over GraphRegistry + DecompositionService —
 /// the piece that turns the in-process serving layer into a network
 /// service. Registers its routes on an HttpServer; the caller owns all
@@ -86,7 +91,13 @@ class DecompositionHttpFrontend {
   HttpResponse HandleTraces(const HttpRequest& request);
   HttpResponse HandleTraceById(const HttpRequest& request);
 
+  /// The /statz document: queue, workers, scheduler, request, cache, HTTP,
+  /// live and durability counts plus latency quantiles. Every count is read
+  /// from the same source /metrics exports. The CLI prints it at drain.
+  std::string RenderStatz();
+
   struct Stats {
+    /// receipt_http_requests_total{path="/v1/decompose"}
     uint64_t decompose_requests = 0;
     uint64_t rejected_busy = 0;       ///< 429s from queue admission
     uint64_t disconnect_cancels = 0;  ///< tickets abandoned on disconnect
@@ -97,8 +108,10 @@ class DecompositionHttpFrontend {
   Stats stats() const;
 
  private:
-  /// Bump receipt_http_requests_total{path=...}, lazily registering the
-  /// label child on first sight of the path.
+  /// receipt_http_requests_total{path=...}, registering the label child
+  /// on first sight of the path.
+  obs::Counter* HttpRequestCounter(const std::string& path);
+  /// Bumps HttpRequestCounter(path).
   void CountHttpRequest(const std::string& path);
 
   service::GraphRegistry* registry_;
@@ -106,8 +119,9 @@ class DecompositionHttpFrontend {
   HttpServer* server_;
   obs::Observability* obs_;
   obs::Histogram* http_request_seconds_;
+  /// Registered up front so stats() reads the exported count.
+  obs::Counter* decompose_requests_;
 
-  std::atomic<uint64_t> decompose_requests_{0};
   std::atomic<uint64_t> rejected_busy_{0};
   std::atomic<uint64_t> disconnect_cancels_{0};
   std::atomic<uint64_t> graphs_registered_{0};

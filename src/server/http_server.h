@@ -39,14 +39,11 @@ struct HttpServerOptions {
   /// socket buffer) gets its connection dropped instead of wedging a
   /// handler thread — and with it Stop()'s join — forever.
   int send_timeout_ms = 10000;
-  /// Serve multiple requests per connection (HTTP/1.1 persistent
-  /// connections). Clients can still opt out per request with
-  /// `Connection: close`; HTTP/1.0 requests default to close. Disabling
-  /// restores the one-request-per-connection behaviour.
-  bool keep_alive = true;
-  /// Requests served on one connection before the server closes it
-  /// (`Connection: close` on the final response) — bounds how long a
-  /// single client can monopolize a handler thread.
+  /// Requests served on one persistent (HTTP/1.1 keep-alive) connection
+  /// before the server closes it (`Connection: close` on the final
+  /// response) — bounds how long a single client can monopolize a handler
+  /// thread. Clients opt out per request with `Connection: close`;
+  /// HTTP/1.0 requests default to close.
   size_t max_requests_per_connection = 64;
   /// How long a kept-alive connection may sit idle between requests before
   /// the server closes it silently. Distinct from recv_timeout_ms, which

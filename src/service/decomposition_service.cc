@@ -24,6 +24,12 @@ ServiceOptions NormalizeOptions(ServiceOptions options) {
   return options;
 }
 
+/// Read-through source for one field of whatever `read_stats()` returns.
+template <typename ReadStats, typename Stats>
+obs::ReadFunc StatsField(ReadStats read_stats, uint64_t Stats::*field) {
+  return [read_stats, field] { return read_stats().*field; };
+}
+
 }  // namespace
 
 DecompositionService::DecompositionService(GraphRegistry& registry,
@@ -31,14 +37,6 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
     : registry_(&registry),
       options_(NormalizeOptions(options)),
       cache_(options.cache_bytes) {
-  if (options_.observability != nullptr) {
-    obs_ = options_.observability;
-  } else {
-    owned_obs_ = std::make_unique<obs::Observability>();
-    obs_ = owned_obs_.get();
-  }
-  RegisterInstruments();
-
   LiveOptions live_options;
   live_options.max_pending_edges =
       std::max<size_t>(1, options_.live_max_pending_edges);
@@ -58,9 +56,10 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
     // race live traffic. Failure leaves the service up but in-memory only
     // (durability_error_ set) — the embedder decides whether to abort.
     durability_ = durability::OpenWithRecovery(
-        durability_options, *registry_, *live_, obs_, &recovery_report_,
+        durability_options, *registry_, *live_, *obs_, &recovery_report_,
         &durability_error_);
   }
+  RegisterInstruments();
 
   const int num_workers = std::max(0, options_.num_workers);
 
@@ -112,13 +111,15 @@ void DecompositionService::RegisterInstruments() {
                      "Decomposition requests resolved, by outcome.",
                      {{"outcome", StatusName(s)}});
   }
-  cache_hits_total_ = m.GetCounter(
-      "receipt_cache_hits_total", "Responses served from the ResultCache.");
-  coalesced_total_ = m.GetCounter(
-      "receipt_coalesced_total",
-      "Submits joined to an identical in-flight request.");
-  engine_runs_total_ = m.GetCounter("receipt_engine_runs_total",
-                                    "Actual decomposition engine executions.");
+  m.AddCounterFunc("receipt_cache_hits_total",
+                   "Responses served from the ResultCache.", {},
+                   [this] { return cache_.stats().hits; });
+  m.AddCounterFunc("receipt_coalesced_total",
+                   "Submits joined to an identical in-flight request.", {},
+                   [this] { return stats().coalesced; });
+  m.AddCounterFunc("receipt_engine_runs_total",
+                   "Actual decomposition engine executions.", {},
+                   [this] { return stats().engine_runs; });
   request_latency_ = m.GetHistogram(
       "receipt_request_latency_seconds",
       "Admission-to-response latency of queued decomposition requests.");
@@ -164,6 +165,49 @@ void DecompositionService::RegisterInstruments() {
   makespan_measured_ = m.GetGauge(
       "receipt_engine_makespan_measured",
       "Measured per-node wedge-work makespan of the most recent run.");
+
+  // Read-through series: the owning component's stats() holds the count.
+  using LiveStats = LiveGraphManager::Stats;
+  const auto live = [this] { return live_->stats(); };
+  const char* seal_runs_help =
+      "Per-configuration live-seal engine runs, by mode.";
+  m.AddCounterFunc("receipt_live_seal_runs_total", seal_runs_help,
+                   {{"mode", "incremental"}},
+                   StatsField(live, &LiveStats::runs_incremental));
+  m.AddCounterFunc("receipt_live_seal_runs_total", seal_runs_help,
+                   {{"mode", "full"}}, StatsField(live, &LiveStats::runs_full));
+  const char* ranges_help =
+      "Sealed coarse ranges at seal time, by disposition.";
+  m.AddCounterFunc("receipt_live_ranges_total", ranges_help,
+                   {{"state", "reused"}},
+                   StatsField(live, &LiveStats::ranges_reused));
+  m.AddCounterFunc("receipt_live_ranges_total", ranges_help,
+                   {{"state", "repeeled"}},
+                   StatsField(live, &LiveStats::ranges_repeeled));
+  m.AddCounterFunc("receipt_live_updates_total",
+                   "Edge updates buffered into live graphs.", {},
+                   StatsField(live, &LiveStats::updates_total));
+  m.AddGaugeFunc("receipt_live_pending_edges",
+                 "Edge updates currently buffered across live graphs.", {},
+                 [this] { return live_->stats().pending_edges; });
+
+  if (durability_ == nullptr) return;
+  using durability::DurabilityStats;
+  using durability::JournalStats;
+  const auto durable = [this] { return durability_->stats(); };
+  const auto journal = [this] { return durability_->stats().journal; };
+  m.AddCounterFunc("receipt_journal_appends_total", "Journal records appended",
+                   {}, StatsField(journal, &JournalStats::appends));
+  m.AddCounterFunc("receipt_journal_bytes_total", "Journal bytes written", {},
+                   StatsField(journal, &JournalStats::bytes_written));
+  m.AddCounterFunc("receipt_journal_append_failures_total",
+                   "Journal append failures", {},
+                   StatsField(journal, &JournalStats::append_failures));
+  m.AddCounterFunc("receipt_snapshot_writes_total", "Snapshot files written",
+                   {}, StatsField(durable, &DurabilityStats::snapshots_written));
+  m.AddCounterFunc("receipt_snapshot_failures_total",
+                   "Snapshot write failures", {},
+                   StatsField(durable, &DurabilityStats::snapshot_failures));
 }
 
 void DecompositionService::BridgePeelStats(const PeelStats& stats) {
@@ -287,11 +331,9 @@ std::shared_future<Response> DecompositionService::SubmitImpl(
     response.payload = std::move(hit);
     response.cache_hit = true;
     response.graph_epoch = cache_key.epoch;
-    cache_hits_total_->Increment();
     OutcomeCounter(Status::kOk)->Increment();
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.submitted;
-    ++stats_.cache_hits;
     return ReadyResponse(std::move(response));
   }
 
@@ -314,7 +356,6 @@ std::shared_future<Response> DecompositionService::SubmitImpl(
         ++twin->extra_submitters;
         ++stats_.submitted;
         ++stats_.coalesced;
-        coalesced_total_->Increment();
         // Instantaneous marker on the *joining* request's trace pointing
         // at the run it attached to; the engine spans live on the first
         // submitter's trace id.
@@ -474,9 +515,6 @@ void DecompositionService::ExecuteTask(const std::shared_ptr<Task>& task,
   if (auto hit = cache_.Get(task->cache_key)) {
     response.payload = std::move(hit);
     response.cache_hit = true;
-    cache_hits_total_->Increment();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.cache_hits;
   } else if (task->control.Cancelled()) {
     response.status = Status::kCancelled;
     response.error = "cancelled before execution";
@@ -485,7 +523,6 @@ void DecompositionService::ExecuteTask(const std::shared_ptr<Task>& task,
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.engine_runs;
     }
-    engine_runs_total_->Increment();
     response = RunEngine(*task, pool);
     if (response.status == Status::kOk) {
       BridgePeelStats(response.payload->stats);
@@ -628,8 +665,13 @@ void DecompositionService::Shutdown(bool drain) {
 }
 
 DecompositionService::Stats DecompositionService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats = stats_;
+  }
+  stats.cache_hits = cache_.stats().hits;
+  return stats;
 }
 
 ResultCache::Stats DecompositionService::cache_stats() const {

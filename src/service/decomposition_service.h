@@ -85,13 +85,6 @@ struct ServiceOptions {
   /// Write a snapshot (and truncate covered journal segments) after every
   /// live seal.
   bool snapshot_on_seal = true;
-
-  /// Metrics registry + trace flight recorder the service reports through.
-  /// When null the service owns a private bundle, so instruments always
-  /// exist; embedders (the HTTP front-end, the CLI) pass one shared bundle
-  /// so request metrics, engine spans and transport metrics land in the
-  /// same /metrics exposition. Must outlive the service when set.
-  obs::Observability* observability = nullptr;
 };
 
 /// The decomposition serving layer: turns the one-shot drivers into a
@@ -187,7 +180,9 @@ class DecompositionService {
   struct Stats {
     uint64_t submitted = 0;    ///< Submit/TrySubmit calls accepted
     uint64_t completed = 0;    ///< tasks whose future was fulfilled
-    uint64_t cache_hits = 0;   ///< responses served from ResultCache
+    /// Responses served from ResultCache: its hit count, since only the
+    /// service looks results up.
+    uint64_t cache_hits = 0;
     uint64_t coalesced = 0;    ///< submits joined to an in-flight twin
     uint64_t engine_runs = 0;  ///< actual decomposition executions
     uint64_t batched_follow_ons = 0;  ///< extra same-graph pops per batch
@@ -224,9 +219,10 @@ class DecompositionService {
   /// thread at any time — /statz and /metrics scrape it live.
   uint64_t WorkspaceGrowths() const;
 
-  /// The bundle this service reports through: the one passed in
-  /// ServiceOptions, else the service-owned fallback. Front-ends render
-  /// /metrics and /v1/traces from it.
+  /// The service-owned bundle every layer of this service reports
+  /// through: request and engine metrics, read-through series over the
+  /// cache, live and durability stats, engine spans. Front-ends render
+  /// /metrics and /v1/traces from it and add their transport series.
   obs::Observability& observability() const { return *obs_; }
 
   /// Latency histograms for quantile summaries (/statz, CLI drain): end to
@@ -238,12 +234,6 @@ class DecompositionService {
   const obs::Histogram* queue_wait_histogram() const { return queue_wait_; }
   const obs::Histogram* engine_run_histogram() const {
     return engine_seconds_;
-  }
-
-  /// Terminal-status counts (receipt_requests_total children), for the
-  /// CLI's drain summary.
-  uint64_t RequestsWithOutcome(Status status) const {
-    return OutcomeCounter(status)->Value();
   }
 
   GraphRegistry& registry() { return *registry_; }
@@ -298,11 +288,6 @@ class DecompositionService {
   /// dead-epoch drop are visible to every request path.
   LiveGraphManager& live() { return *live_; }
 
-  /// Drops every cached result computed on `epoch` (see
-  /// ResultCache::DropEpoch). The HTTP front-end calls this when a graph
-  /// is re-registered, the live path when a seal retires an epoch.
-  size_t DropCachedEpoch(uint64_t epoch) { return cache_.DropEpoch(epoch); }
-
  private:
   /// Coalescing identity: the cache key plus the thread count (a request
   /// explicitly asking for different parallelism is not folded into a
@@ -344,6 +329,9 @@ class DecompositionService {
 
   /// Resolves instrument handles out of the registry once, at
   /// construction; the request path then touches only relaxed atomics.
+  /// Counts the cache, the live manager and the durability layer keep in
+  /// their own stats() are registered as read-through series instead, so
+  /// each is counted once. Runs after durability_ is opened.
   void RegisterInstruments();
   obs::Counter* OutcomeCounter(Status status) const {
     return requests_by_outcome_[static_cast<size_t>(status)];
@@ -375,23 +363,21 @@ class DecompositionService {
 
   GraphRegistry* registry_;
   const ServiceOptions options_;
+  /// Declared first so it outlives every component its read-through series
+  /// and LiveGraphManager's instruments point into.
+  const std::unique_ptr<obs::Observability> obs_ =
+      std::make_unique<obs::Observability>();
   ResultCache cache_;
-  /// Constructed in the ctor body once obs_ is resolved; never null after.
+  /// Constructed in the ctor body from the normalized options; never null
+  /// after.
   std::unique_ptr<LiveGraphManager> live_;
   /// Non-null iff options.data_dir was set and recovery succeeded.
   std::unique_ptr<durability::DurabilityManager> durability_;
   durability::RecoveryReport recovery_report_;
   std::string durability_error_;
 
-  /// Owned fallback bundle (allocated iff options.observability == null);
-  /// obs_ always points at the live bundle.
-  std::unique_ptr<obs::Observability> owned_obs_;
-  obs::Observability* obs_ = nullptr;
   /// Cached instrument handles (stable pointers into the registry).
   obs::Counter* requests_by_outcome_[5] = {};
-  obs::Counter* cache_hits_total_ = nullptr;
-  obs::Counter* coalesced_total_ = nullptr;
-  obs::Counter* engine_runs_total_ = nullptr;
   obs::Histogram* request_latency_ = nullptr;
   obs::Histogram* queue_wait_ = nullptr;
   obs::Histogram* engine_seconds_ = nullptr;
@@ -429,7 +415,7 @@ class DecompositionService {
   size_t waiting_workers_ = 0;  ///< workers blocked on queue_not_empty_
   bool stopping_ = false;
   bool joined_ = false;
-  Stats stats_;
+  Stats stats_;  ///< cache_hits stays 0 here: stats() reads the cache
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::mutex inline_mu_;               ///< serializes RunQueuedInline

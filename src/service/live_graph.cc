@@ -74,27 +74,6 @@ LiveGraphManager::LiveGraphManager(GraphRegistry& registry, ResultCache& cache,
 
 void LiveGraphManager::RegisterInstruments() {
   obs::MetricsRegistry& m = obs_->metrics;
-  seals_incremental_ =
-      m.GetCounter("receipt_live_seal_runs_total",
-                   "Per-configuration live-seal engine runs, by mode.",
-                   {{"mode", "incremental"}});
-  seals_full_ =
-      m.GetCounter("receipt_live_seal_runs_total",
-                   "Per-configuration live-seal engine runs, by mode.",
-                   {{"mode", "full"}});
-  ranges_reused_total_ =
-      m.GetCounter("receipt_live_ranges_total",
-                   "Sealed coarse ranges at seal time, by disposition.",
-                   {{"state", "reused"}});
-  ranges_repeeled_total_ =
-      m.GetCounter("receipt_live_ranges_total",
-                   "Sealed coarse ranges at seal time, by disposition.",
-                   {{"state", "repeeled"}});
-  updates_total_ = m.GetCounter("receipt_live_updates_total",
-                                "Edge updates buffered into live graphs.");
-  pending_gauge_ =
-      m.GetGauge("receipt_live_pending_edges",
-                 "Edge updates currently buffered across live graphs.");
   dirty_permille_ = m.GetGauge(
       "receipt_live_dirty_permille",
       "Re-peeled fraction of the most recent seal's ranges, in permille.");
@@ -160,7 +139,6 @@ bool LiveGraphManager::ResyncLocked(LiveGraphState& state,
   for (auto& [config, baseline] : state.wing) baseline.valid = false;
   std::lock_guard<std::mutex> lock(mu_);
   stats_.pending_edges -= state.pending.size();
-  pending_gauge_->Set(stats_.pending_edges);
   state.pending.clear();
   return true;
 }
@@ -221,12 +199,10 @@ bool LiveGraphManager::BufferLocked(LiveGraphState& state,
       state.first_pending_ns = obs::TraceRecorder::NowNs();
     }
     state.pending.insert(state.pending.end(), updates.begin(), updates.end());
-    updates_total_->Increment(updates.size());
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.batches_total;
     stats_.updates_total += updates.size();
     stats_.pending_edges += updates.size();
-    pending_gauge_->Set(stats_.pending_edges);
   }
   result->accepted = updates.size();
   result->pending = state.pending.size();
@@ -472,23 +448,14 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.seals_total;
     stats_.pending_edges -= folded;
-    pending_gauge_->Set(stats_.pending_edges);
     for (const SealConfigReport& report : result->reports) {
-      if (report.incremental) {
-        ++stats_.runs_incremental;
-        seals_incremental_->Increment();
-      } else {
-        ++stats_.runs_full;
-        seals_full_->Increment();
-      }
+      ++(report.incremental ? stats_.runs_incremental : stats_.runs_full);
       stats_.ranges_reused += report.ranges_reused;
       stats_.ranges_repeeled += report.ranges_repeeled;
       reused += report.ranges_reused;
       repeeled += report.ranges_repeeled;
     }
   }
-  ranges_reused_total_->Increment(reused);
-  ranges_repeeled_total_->Increment(repeeled);
   if (reused + repeeled > 0) {
     dirty_permille_->Set(repeeled * 1000 / (reused + repeeled));
   }
@@ -823,7 +790,6 @@ Status LiveGraphManager::RestoreSnapshot(const durability::SnapshotData& data,
     }
     stats_.pending_edges += state->pending.size();
     states_[data.graph] = std::move(state);
-    pending_gauge_->Set(stats_.pending_edges);
   }
   return Status::kOk;
 }
@@ -834,7 +800,6 @@ bool LiveGraphManager::DropState(const std::string& name) {
   if (it == states_.end()) return false;
   stats_.pending_edges -= it->second->pending.size();
   states_.erase(it);
-  pending_gauge_->Set(stats_.pending_edges);
   return true;
 }
 

@@ -207,6 +207,8 @@ class LiveGraphManager {
   /// kShutdown when the write fails.
   Status SnapshotNow(const std::string& name, std::string* error);
 
+  /// The one count of live-path events; DecompositionService exports it as
+  /// the receipt_live_* read-through series.
   struct Stats {
     uint64_t batches_total = 0;   ///< non-empty batches buffered
     uint64_t updates_total = 0;   ///< individual edge updates buffered
@@ -330,12 +332,6 @@ class LiveGraphManager {
   obs::Observability* obs_;
   durability::DurabilityManager* durability_ = nullptr;
 
-  obs::Counter* seals_incremental_ = nullptr;
-  obs::Counter* seals_full_ = nullptr;
-  obs::Counter* ranges_reused_total_ = nullptr;
-  obs::Counter* ranges_repeeled_total_ = nullptr;
-  obs::Counter* updates_total_ = nullptr;
-  obs::Gauge* pending_gauge_ = nullptr;
   obs::Gauge* dirty_permille_ = nullptr;
   obs::Histogram* seal_seconds_ = nullptr;
 

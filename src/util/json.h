@@ -72,7 +72,6 @@ class JsonValue {
   Type type() const { return type_; }
   bool IsNull() const { return type_ == Type::kNull; }
   bool IsBool() const { return type_ == Type::kBool; }
-  bool IsNumber() const { return type_ == Type::kNumber; }
   /// True for numbers written without fraction/exponent that fit int64
   /// (or uint64 — see AsUint).
   bool IsInt() const { return type_ == Type::kNumber && is_int_; }
@@ -88,10 +87,6 @@ class JsonValue {
 
   /// Array elements (empty unless IsArray).
   const std::vector<JsonValue>& Items() const { return items_; }
-  /// Object members in document order (empty unless IsObject).
-  const std::vector<std::pair<std::string, JsonValue>>& Members() const {
-    return members_;
-  }
 
   /// Object member lookup; nullptr when absent or not an object. Duplicate
   /// keys resolve to the first occurrence.

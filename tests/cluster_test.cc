@@ -790,5 +790,35 @@ TEST_F(ClusterFixture, RouteEndpointAgreesAcrossAllMembers) {
   EXPECT_EQ(expected, HashRing(ids_).Owner("g"));
 }
 
+TEST_F(ClusterFixture, RouteQueryMatchesTheGraphKeyExactly) {
+  StartCluster();
+  std::vector<ClusterMember> members;
+  for (const std::string& id : ids_) {
+    members.push_back(ClusterMember{id, "127.0.0.1", replicas_[id]->port()});
+  }
+  RouterOptions options;
+  options.replication_factor = kReplication;
+  options.health_interval_ms = 0;
+  Router router(members, options);
+  std::string error;
+  ASSERT_TRUE(router.Start(&error)) << error;
+
+  // A key that merely ends in "graph" must not be read as the graph.
+  for (const uint16_t port : {router.port(), replicas_["a"]->port()}) {
+    const auto routed = Get(port, "/v1/cluster/route?subgraph=x&graph=g");
+    ASSERT_EQ(routed.status, 200) << port << ": " << routed.body;
+    const auto json = util::JsonValue::Parse(routed.body);
+    ASSERT_TRUE(json.has_value());
+    std::string graph;
+    std::string owner;
+    ASSERT_TRUE(json->GetString("graph", &graph));
+    ASSERT_TRUE(json->GetString("owner", &owner));
+    EXPECT_EQ(graph, "g") << port;
+    EXPECT_EQ(owner, HashRing(ids_).Owner("g")) << port;
+    EXPECT_EQ(Get(port, "/v1/cluster/route?subgraph=x").status, 400) << port;
+  }
+  router.Stop();
+}
+
 }  // namespace
 }  // namespace receipt::cluster

@@ -594,7 +594,7 @@ struct DurableStack {
                                               *obs);
     DurabilityOptions options;
     options.data_dir = data_dir;
-    durability = OpenWithRecovery(options, registry, *live, obs.get(),
+    durability = OpenWithRecovery(options, registry, *live, *obs,
                                   &report, &error);
   }
 

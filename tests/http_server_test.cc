@@ -667,21 +667,6 @@ TEST(HttpServerTest, IdleKeepAliveConnectionTimesOutSilently) {
   EXPECT_EQ(ts.server->stats().parse_failures, 0u);
 }
 
-TEST(HttpServerTest, KeepAliveDisabledRestoresSingleRequestConnections) {
-  HttpServerOptions http_options;
-  http_options.keep_alive = false;
-  TestServer ts({}, 4, http_options);
-
-  const int fd = ConnectLoopback(ts.port());
-  SendOnSocket(fd, "GET", "/healthz", "");
-  const FramedResult result = ReadFramedResponse(fd);
-  ASSERT_TRUE(result.complete);
-  EXPECT_NE(result.headers.find("Connection: close"), std::string::npos);
-  char byte;
-  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
-  ::close(fd);
-}
-
 // The writer/parser pair the wire format rests on: round-trip sanity.
 TEST(JsonTest, WriterAndParserRoundTrip) {
   util::JsonWriter writer;

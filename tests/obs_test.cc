@@ -3,13 +3,18 @@
 // the exposition is parsed), trace-ring wraparound under overflow, trace id
 // parse/format round-trips, and an end-to-end HTTP pass — a decompose
 // request's X-Request-Id comes back as a trace whose spans cover queue wait
-// and the engine phases, with /metrics provably advancing.
+// and the engine phases, with /metrics provably advancing, and /statz,
+// /metrics and stats() reading one count per serving event.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,6 +30,7 @@
 #include "server/http_server.h"
 #include "service/decomposition_service.h"
 #include "service/graph_registry.h"
+#include "util/io.h"
 #include "util/json.h"
 
 namespace receipt::obs {
@@ -152,6 +158,28 @@ TEST(MetricsTest, PrometheusTextConformance) {
   EXPECT_NE(text.find("lat_seconds_count 2"), std::string::npos);
   // Escaped label value survives rendering.
   EXPECT_NE(text.find("bad\\\"quote"), std::string::npos);
+}
+
+TEST(MetricsTest, ReadThroughSeriesRenderTheirSourceAtScrapeTime) {
+  MetricsRegistry registry;
+  uint64_t hits = 0;
+  uint64_t depth = 4;
+  registry.AddCounterFunc("hits_total", "hits", {{"cache", "a"}},
+                          [&hits] { return hits; });
+  registry.AddGaugeFunc("depth", "depth", {}, [&depth] { return depth; });
+  hits = 5;
+  std::string text = registry.RenderPrometheus();
+  ValidatePrometheusText(text);
+  EXPECT_NE(text.find("# TYPE hits_total counter"), std::string::npos);
+  EXPECT_NE(text.find("hits_total{cache=\"a\"} 5\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE depth gauge"), std::string::npos);
+  EXPECT_NE(text.find("depth 4\n"), std::string::npos);
+  // No copy is taken: the next scrape reads the source again.
+  hits = 9;
+  depth = 0;
+  text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("hits_total{cache=\"a\"} 9\n"), std::string::npos);
+  EXPECT_NE(text.find("depth 0\n"), std::string::npos);
 }
 
 TEST(MetricsTest, HistogramBucketsRenderCumulative) {
@@ -511,6 +539,193 @@ TEST(HttpObservabilityTest, StatzCarriesGrowthsAndLatencyQuantiles) {
     EXPECT_NE(block->Find("p95_seconds"), nullptr);
     EXPECT_NE(block->Find("p99_seconds"), nullptr);
   }
+}
+
+/// The numeric sample of `series` (name plus rendered labels) in an
+/// exposition; fails the test when the series is missing.
+uint64_t Sample(const std::string& text, const std::string& series) {
+  const size_t pos = text.find("\n" + series + " ");
+  EXPECT_NE(pos, std::string::npos) << "missing sample: " << series;
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(text.c_str() + pos + series.size() + 2, nullptr, 10);
+}
+
+/// The unsigned integer at a path of keys in a JSON document.
+uint64_t UintAt(const util::JsonValue& json,
+                std::initializer_list<const char*> path) {
+  const util::JsonValue* node = &json;
+  for (const char* key : path) {
+    node = node->Find(key);
+    EXPECT_NE(node, nullptr) << "missing /statz key: " << key;
+    if (node == nullptr) return 0;
+  }
+  return node->AsUint();
+}
+
+// Every serving event is counted once: /statz, /metrics and the components'
+// stats() must show the same number for each, across a cache miss, a cache
+// hit, a coalesced twin, an incremental and a full seal, an admin snapshot
+// and a failed journal append. A second copy of any count that drifts from
+// the first (the historical bug: a mirror that missed one path) fails here.
+TEST(HttpObservabilityTest, StatzMetricsAndStatsReadOneCount) {
+  const std::filesystem::path data_dir =
+      std::filesystem::temp_directory_path() /
+      ("receipt_one_count_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(data_dir);
+  GraphRegistry registry;
+  ServiceOptions options;
+  options.num_workers = 0;  // the test runs the queue: coalescing is exact
+  options.live_dirty_fraction_limit = 1.0;  // a valid baseline is reused
+  options.data_dir = data_dir.string();
+  DecompositionService service(registry, options);
+  ASSERT_TRUE(service.durability_error().empty())
+      << service.durability_error();
+  HttpServer server(HttpServerOptions{});
+  DecompositionHttpFrontend frontend(registry, service, server);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const uint16_t port = server.port();
+  const BipartiteGraph graph = G1();
+  ASSERT_EQ(service.RegisterGraph("g1", graph, nullptr, &error),
+            service::Status::kOk)
+      << error;
+
+  // A miss and its coalesced twin share one engine run. The same request
+  // at another thread count queues separately and hits the cache when it
+  // runs; a repeat hits at submit.
+  const std::string decompose =
+      R"({"graph": "g1", "kind": "tip-U", "algo": "RECEIPT", "partitions": 6})";
+  const std::string decompose_t2 =
+      R"({"graph": "g1", "kind": "tip-U", "algo": "RECEIPT", "partitions": 6,)"
+      R"( "threads": 2})";
+  const auto wait_until = [](auto done) {
+    while (!done()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  ClientResult first;
+  ClientResult twin;
+  ClientResult queued_hit;
+  std::thread first_client(
+      [&] { first = Fetch(port, "POST", "/v1/decompose", decompose); });
+  wait_until([&] { return service.QueueDepth() == 1; });
+  std::thread twin_client(
+      [&] { twin = Fetch(port, "POST", "/v1/decompose", decompose); });
+  wait_until([&] { return service.stats().coalesced == 1; });
+  std::thread queued_hit_client(
+      [&] { queued_hit = Fetch(port, "POST", "/v1/decompose", decompose_t2); });
+  wait_until([&] { return service.QueueDepth() == 2; });
+  EXPECT_EQ(service.RunQueuedInline(), 2u);
+  first_client.join();
+  twin_client.join();
+  queued_hit_client.join();
+  EXPECT_EQ(first.status, 200) << first.body;
+  EXPECT_EQ(twin.status, 200) << twin.body;
+  ASSERT_EQ(queued_hit.status, 200) << queued_hit.body;
+  EXPECT_TRUE(ParseBody(queued_hit).Find("cache_hit")->AsBool());
+  const ClientResult hit = Fetch(port, "POST", "/v1/decompose", decompose);
+  ASSERT_EQ(hit.status, 200) << hit.body;
+  EXPECT_TRUE(ParseBody(hit).Find("cache_hit")->AsBool());
+
+  // A one-edge delete batch for g1: a localized change.
+  const auto batch = [&](size_t i, bool seal, bool track) {
+    const BipartiteGraph::Edge edge = graph.ToEdges()[40 + i];
+    std::string body = R"({"edges": [{"op": "-", "u": )" +
+                       std::to_string(edge.u) + R"(, "v": )" +
+                       std::to_string(edge.v) + "}], \"seal\": " +
+                       (seal ? "true" : "false");
+    if (track) body += R"(, "track": [{"kind": "tip-U", "partitions": 10}])";
+    return Fetch(port, "POST", "/v1/graphs/g1/edges", body + "}");
+  };
+  // Tracked before the batch: the seal reuses the baseline.
+  ClientResult sealed = batch(0, /*seal=*/true, /*track=*/true);
+  ASSERT_EQ(sealed.status, 200) << sealed.body;
+  // A re-registration invalidates the baseline: the next seal runs full.
+  ASSERT_EQ(service.RegisterGraph("g1", graph, nullptr, &error),
+            service::Status::kOk)
+      << error;
+  sealed = batch(1, /*seal=*/true, /*track=*/false);
+  ASSERT_EQ(sealed.status, 200) << sealed.body;
+  ASSERT_EQ(Fetch(port, "POST", "/v1/admin/snapshot", R"({"graph": "g1"})")
+                .status,
+            200);
+  // The journal write of this batch fails cleanly: 503, nothing buffered.
+  util::io::FaultPlan fault;
+  fault.fail_write_at = 1;
+  util::io::SetFaultPlan(fault);
+  EXPECT_EQ(batch(2, /*seal=*/false, /*track=*/false).status, 503);
+  util::io::ClearFaultPlan();
+  ASSERT_EQ(batch(3, /*seal=*/false, /*track=*/false).status, 200);
+
+  const util::JsonValue statz = ParseBody(Fetch(port, "GET", "/statz"));
+  const std::string metrics = Fetch(port, "GET", "/metrics").body;
+  const DecompositionService::Stats stats = service.stats();
+  const service::LiveGraphManager::Stats live = service.live().stats();
+  const durability::DurabilityStats durable = service.durability()->stats();
+
+  struct OneCount {
+    std::initializer_list<const char*> statz_path;
+    const char* series;
+    uint64_t stats_value;
+  };
+  const OneCount counts[] = {
+      {{"requests", "cache_hits"}, "receipt_cache_hits_total",
+       stats.cache_hits},
+      {{"cache", "hits"}, "receipt_cache_hits_total",
+       service.cache_stats().hits},
+      {{"requests", "coalesced"}, "receipt_coalesced_total", stats.coalesced},
+      {{"requests", "engine_runs"}, "receipt_engine_runs_total",
+       stats.engine_runs},
+      {{"http", "decompose_requests"},
+       "receipt_http_requests_total{path=\"/v1/decompose\"}",
+       frontend.stats().decompose_requests},
+      {{"live", "updates"}, "receipt_live_updates_total", live.updates_total},
+      {{"live", "pending_edges"}, "receipt_live_pending_edges",
+       live.pending_edges},
+      {{"live", "runs_incremental"},
+       "receipt_live_seal_runs_total{mode=\"incremental\"}",
+       live.runs_incremental},
+      {{"live", "runs_full"}, "receipt_live_seal_runs_total{mode=\"full\"}",
+       live.runs_full},
+      {{"live", "ranges_reused"},
+       "receipt_live_ranges_total{state=\"reused\"}", live.ranges_reused},
+      {{"live", "ranges_repeeled"},
+       "receipt_live_ranges_total{state=\"repeeled\"}", live.ranges_repeeled},
+      {{"durability", "journal", "appends"}, "receipt_journal_appends_total",
+       durable.journal.appends},
+      {{"durability", "journal", "bytes_written"},
+       "receipt_journal_bytes_total", durable.journal.bytes_written},
+      {{"durability", "journal", "append_failures"},
+       "receipt_journal_append_failures_total",
+       durable.journal.append_failures},
+      {{"durability", "snapshots", "written"}, "receipt_snapshot_writes_total",
+       durable.snapshots_written},
+      {{"durability", "snapshots", "failures"},
+       "receipt_snapshot_failures_total", durable.snapshot_failures},
+  };
+  for (const OneCount& count : counts) {
+    EXPECT_EQ(UintAt(statz, count.statz_path), Sample(metrics, count.series))
+        << count.series;
+    EXPECT_EQ(Sample(metrics, count.series), count.stats_value)
+        << count.series;
+  }
+
+  // The scenario reached every event it claims to.
+  EXPECT_EQ(stats.engine_runs, 1u);
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(frontend.stats().decompose_requests, 4u);
+  EXPECT_EQ(live.updates_total, 3u);
+  EXPECT_EQ(live.pending_edges, 1u);
+  EXPECT_EQ(live.runs_incremental, 1u);
+  EXPECT_EQ(live.runs_full, 1u);
+  EXPECT_EQ(durable.journal.append_failures, 1u);
+  EXPECT_FALSE(durable.journal.broken);
+  EXPECT_GE(durable.journal.appends, 7u);  // 2 registers, 3 batches, 2 seals
+  EXPECT_GE(durable.snapshots_written, 3u);  // 2 seals + the admin snapshot
+  EXPECT_EQ(durable.snapshot_failures, 0u);
+
+  server.Stop();
+  service.Shutdown();
+  std::filesystem::remove_all(data_dir);
 }
 
 TEST(HttpObservabilityTest, TraceEndpointsRejectBadIdsAndLimit) {
